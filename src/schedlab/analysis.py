@@ -1,8 +1,14 @@
-"""Offline schedulability tests: utilization bound, RTA, and RTA variants.
+"""Offline schedulability tests: the utilization bound and response-time analysis.
 
 All tests are sufficient-side conservative: a "schedulable" verdict must
-never be contradicted by the matching simulator configuration.  Responses
-are computed per task as least fixed points over integer ticks.
+never be contradicted by the matching simulator configuration.  Every
+response-time bound in schedlab (plain, flush-aware and non-preemptive RTA
+here, and both shuffle budget certificates) is the least fixed point of
+
+    r = own + sum over terms (t, c, j) of ceil((r + j) / t) * c
+
+over integer ticks, computed by the one kernel `fixed_point`.  Each bound
+only chooses its own cost and its interference terms.
 """
 
 from __future__ import annotations
@@ -27,14 +33,6 @@ class AnalysisReport:
     method: str
     per_task_response: dict = field(default_factory=dict)
     bound_value: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "responses": {str(k): v for k, v in self.per_task_response.items()},
-            "bound": self.bound_value,
-        }
 
 
 def utilization_bound_test(ts: TaskSet) -> AnalysisReport:
@@ -65,21 +63,49 @@ def utilization_bound_test(ts: TaskSet) -> AnalysisReport:
     return AnalysisReport(verdict=verdict, method="utilization_bound", bound_value=bound)
 
 
-def _fixed_point(start: int, step, limit: int):
-    """Iterate R <- step(R) from start until stable, R > limit, or cap.
+def fixed_point(own: int, terms, limit) -> int | None:
+    """Least r >= own with r = own + sum(ceil((r + j) / t) * c for t, c, j in terms).
 
-    Returns (value, converged) where converged is False when the cap hit.
-    A value above limit is returned as-is so callers can see the overshoot.
+    Iterates from own.  The first iterate above limit is returned as it is,
+    so the caller sees the overshoot; None means MAX_ITERATIONS passed
+    without the iteration settling.
     """
-    r = start
+    r = own
     for _ in range(MAX_ITERATIONS):
-        nxt = step(r)
-        if nxt == r:
-            return r, True
-        if nxt > limit:
-            return nxt, True
+        nxt = own
+        for t, c, j in terms:
+            nxt -= (-(r + j) // t) * c  # adds ceil((r + j) / t) * c
+        if nxt == r or nxt > limit:
+            return nxt
         r = nxt
-    return r, False
+    return None
+
+
+def _report(method: str, by_prio, bounds, bound_value=None) -> AnalysisReport:
+    """Verdict from per-task response bounds, given in priority order.
+
+    A bound past the task's deadline makes the set unschedulable; None (the
+    iteration cap) makes it inconclusive unless another task fails.  Either
+    way the task's response is reported as None.
+    """
+    responses: dict[int, int | None] = {}
+    verdict = SCHEDULABLE
+    for task, r in zip(by_prio, bounds):
+        if r is None:
+            verdict = INCONCLUSIVE if verdict == SCHEDULABLE else verdict
+        elif r > task.D:
+            verdict = UNSCHEDULABLE
+        responses[task.id] = r if r is not None and r <= task.D else None
+    return AnalysisReport(verdict=verdict, method=method,
+                          per_task_response=responses, bound_value=bound_value)
+
+
+def _preemptive_bounds(by_prio, f: int) -> list:
+    """RTA bounds when every dispatch may be preceded by a scrub of f ticks."""
+    return [
+        fixed_point(task.C + f, [(h.T, h.C + 2 * f, 0) for h in by_prio[:i]], task.D)
+        for i, task in enumerate(by_prio)
+    ]
 
 
 def response_time_analysis(ts: TaskSet) -> AnalysisReport:
@@ -92,24 +118,7 @@ def response_time_analysis(ts: TaskSet) -> AnalysisReport:
     """
     require_valid(ts)
     by_prio = ts.by_priority()
-    responses: dict[int, int | None] = {}
-    verdict = SCHEDULABLE
-    for i, task in enumerate(by_prio):
-        higher = by_prio[:i]
-
-        def step(r, task=task, higher=higher):
-            return task.C + sum(math.ceil(r / h.T) * h.C for h in higher)
-
-        r, converged = _fixed_point(task.C, step, task.D)
-        if not converged:
-            responses[task.id] = None
-            verdict = INCONCLUSIVE if verdict == SCHEDULABLE else verdict
-        elif r > task.D:
-            responses[task.id] = None
-            verdict = UNSCHEDULABLE
-        else:
-            responses[task.id] = r
-    return AnalysisReport(verdict=verdict, method="rta", per_task_response=responses)
+    return _report("rta", by_prio, _preemptive_bounds(by_prio, 0))
 
 
 def rta_with_flush(ts: TaskSet, policy) -> AnalysisReport:
@@ -125,38 +134,10 @@ def rta_with_flush(ts: TaskSet, policy) -> AnalysisReport:
     f = policy.flush_cost
     if f < 0:
         raise ValueError("flush cost must be >= 0")
-    if f == 0 or not policy.has_constraints():
-        base = response_time_analysis(ts)
-        return AnalysisReport(
-            verdict=base.verdict,
-            method="rta_flush",
-            per_task_response=base.per_task_response,
-            bound_value=float(f),
-        )
     by_prio = ts.by_priority()
-    responses: dict[int, int | None] = {}
-    verdict = SCHEDULABLE
-    for i, task in enumerate(by_prio):
-        higher = by_prio[:i]
-
-        def step(r, task=task, higher=higher):
-            return (task.C + f) + sum(math.ceil(r / h.T) * (h.C + 2 * f) for h in higher)
-
-        r, converged = _fixed_point(task.C + f, step, task.D)
-        if not converged:
-            responses[task.id] = None
-            verdict = INCONCLUSIVE if verdict == SCHEDULABLE else verdict
-        elif r > task.D:
-            responses[task.id] = None
-            verdict = UNSCHEDULABLE
-        else:
-            responses[task.id] = r
-    return AnalysisReport(
-        verdict=verdict,
-        method="rta_flush",
-        per_task_response=responses,
-        bound_value=float(f),
-    )
+    charged = f if policy.has_constraints() else 0
+    return _report("rta_flush", by_prio, _preemptive_bounds(by_prio, charged),
+                   bound_value=float(f))
 
 
 def blocking_term_nonpreemptive(ts: TaskSet) -> dict[int, int]:
@@ -175,35 +156,47 @@ def blocking_term_nonpreemptive(ts: TaskSet) -> dict[int, int]:
     return out
 
 
+def _nonpreemptive_bound(task, higher, b: int):
+    """Worst response over every job of task in its level-i busy period.
+
+    The busy period t = b + sum over hep k of ceil(t / T_k) * C_k is
+    iterated with each first job moved into own (ceil((t - T)/T) =
+    ceil(t/T) - 1), so it starts at a positive lower bound.  Job q starts
+    by w = b + q*C_i + sum over higher j of (floor(w/T_j) + 1) * C_j and
+    responds by w + C_i - q*T_i.  math.inf when the busy period never
+    closes, None on the iteration cap.
+    """
+    hep = (*higher, task)
+    u = sum(Fraction(k.C, k.T) for k in hep)
+    if u > 1 or (u == 1 and b > 0):
+        return math.inf
+    t = fixed_point(b + sum(k.C for k in hep), [(k.T, k.C, -k.T) for k in hep], math.inf)
+    if t is None:
+        return None
+    interference = [(h.T, h.C, 1) for h in higher]  # floor(w/T)+1 = ceil((w+1)/T)
+    worst = 0
+    for q in range(-(-t // task.T)):
+        w = fixed_point(b + q * task.C, interference, task.D - task.C + q * task.T)
+        if w is None:
+            return None
+        worst = max(worst, w + task.C - q * task.T)
+        if worst > task.D:
+            break
+    return worst
+
+
 def rta_nonpreemptive(ts: TaskSet) -> AnalysisReport:
     """RTA for fully non-preemptive fixed-priority dispatch.
 
-    Start-time form: w_i = B_i + sum over higher j of (floor(w_i/T_j)+1)*C_j,
-    R_i = w_i + C_i.  Once a job starts it cannot be preempted, so only
-    higher-priority jobs released strictly before the start can interfere.
+    Multi-job level-i busy-period form of Davis, Burns, Bril and Lukkien
+    (Real-Time Systems 35(3), 2007, section 5): every job of tau_i in the
+    busy period is checked, since a later job can respond later than the
+    first.  Once a job starts it cannot be preempted, so only
+    higher-priority jobs released no later than its start interfere.
     """
     require_valid(ts)
     blocking = blocking_term_nonpreemptive(ts)
     by_prio = ts.by_priority()
-    responses: dict[int, int | None] = {}
-    verdict = SCHEDULABLE
-    for i, task in enumerate(by_prio):
-        higher = by_prio[:i]
-        b = blocking[task.id]
-
-        def step(w, higher=higher, b=b):
-            return b + sum((w // h.T + 1) * h.C for h in higher)
-
-        limit = task.D - task.C  # start must leave room for the full cost
-        w, converged = _fixed_point(b, step, max(limit, 0))
-        if not converged:
-            responses[task.id] = None
-            verdict = INCONCLUSIVE if verdict == SCHEDULABLE else verdict
-        elif w + task.C > task.D:
-            responses[task.id] = None
-            verdict = UNSCHEDULABLE
-        else:
-            responses[task.id] = w + task.C
-    return AnalysisReport(
-        verdict=verdict, method="rta_nonpreemptive", per_task_response=responses
-    )
+    bounds = [_nonpreemptive_bound(task, by_prio[:i], blocking[task.id])
+              for i, task in enumerate(by_prio)]
+    return _report("rta_nonpreemptive", by_prio, bounds)

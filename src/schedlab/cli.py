@@ -1,7 +1,7 @@
 """Command line front end for scenario files.
 
 Subcommands:
-    analyze   static schedulability verdict (exit 1 when not proven)
+    analyze   verdict of the policy's own schedulability test (exit 1 when not proven)
     simulate  run the scenario, report misses and defense metrics
               (exit 1 on any deadline miss or isolation violation)
     attack    run offset inference (and cache probing when configured)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="static schedulability verdict")
+    p = sub.add_parser("analyze", help="verdict of the policy's own schedulability test")
     p.add_argument("scenario", help="scenario file")
     p.set_defaults(func=_cmd_analyze)
 

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from schedlab.analysis import AnalysisReport, response_time_analysis, rta_nonpreemptive
 from schedlab.tasks import PERIODIC, Task, TaskSet, require_valid
 
 IDLE = -1
@@ -45,7 +46,6 @@ class Job:
 
     task_id: int
     job_id: int
-    index: int
     release: int
     absolute_deadline: int
     exec_demand: int
@@ -89,9 +89,6 @@ class ScheduleTrace:
 
     def events_of(self, kind: str) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
-
-    def task_slots(self, task_id: int) -> list[int]:
-        return [i for i, occ in enumerate(self.slots) if occ == task_id]
 
     def slots_csv(self) -> str:
         lines = ["tick,occupant,job_id"]
@@ -146,6 +143,8 @@ class SchedulingPolicy:
     refuse the workload.  pick() must return a Job from `ready`, a job it
     spawned itself, or the IDLE/FLUSH sentinel.  `ready` is sorted by
     (priority, release, job_id), so ready[0] is the highest-priority job.
+    analyze() is the schedulability test that is sound for this dispatch;
+    scenario verdicts and monitor admission both ask the policy for it.
     """
 
     name = "base"
@@ -156,6 +155,10 @@ class SchedulingPolicy:
     def managed_task_ids(self) -> set[int]:
         """Task ids whose releases the policy drives via ctx.spawn()."""
         return set()
+
+    def analyze(self, ts: TaskSet) -> AnalysisReport:
+        """The schedulability test that is sound for this policy's dispatch."""
+        return response_time_analysis(ts)
 
     def pick(self, tick: int, ready: list[Job], ctx: EngineContext):
         raise NotImplementedError
@@ -174,6 +177,9 @@ class NonPreemptiveFP(SchedulingPolicy):
     """Fixed-priority dispatch where a started job runs to completion."""
 
     name = "nonpreemptive"
+
+    def analyze(self, ts):
+        return rta_nonpreemptive(ts)
 
     def pick(self, tick, ready, ctx):
         if ctx.current is not None:
@@ -202,7 +208,6 @@ class _Engine:
         self.slot_jobs: list[int] = []
         self.ready: list[Job] = []  # sorted by (priority, release, job_id)
         self.job_counter = 0
-        self.per_task_index: dict[int, int] = {t.id: 0 for t in ts}
         self.next_release: dict[int, int] = {}
         self.ctx = EngineContext(self)
 
@@ -230,7 +235,6 @@ class _Engine:
         job = Job(
             task_id=task_id,
             job_id=self.job_counter,
-            index=self.per_task_index.get(task_id, 0),
             release=tick,
             absolute_deadline=deadline,
             exec_demand=demand,
@@ -238,7 +242,6 @@ class _Engine:
             priority=priority,
         )
         self.job_counter += 1
-        self.per_task_index[task_id] = job.index + 1
         self.jobs.append(job)
         self._insert_ready(job)
         self.events.append(Event(tick, "release", task_id, job.job_id))

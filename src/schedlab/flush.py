@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from schedlab.analysis import rta_with_flush
 from schedlab.engine import FLUSH, IDLE, SchedulingPolicy
 from schedlab.tasks import TaskSet
 
@@ -85,6 +86,9 @@ class FlushFP(SchedulingPolicy):
         self.taint: set[int] = set()
         self._flush_left = 0
         self._clear_pending = False
+
+    def analyze(self, ts):
+        return rta_with_flush(ts, self.policy)
 
     def attach(self, ts, ctx):
         self.ts = ts

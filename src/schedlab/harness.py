@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from schedlab.analysis import SCHEDULABLE, response_time_analysis, rta_with_flush
+from schedlab.analysis import rta_with_flush
 from schedlab.engine import (
     FLUSH,
     IDLE,
@@ -83,13 +83,10 @@ def _fold_period(ts: TaskSet, duration: int):
 
 
 def analyze_scenario(sc: Scenario) -> dict:
-    """Static verdict for the scenario's task set under its policy."""
+    """Static verdict for the scenario's task set, by its policy's own test."""
     ts = sc.taskset
     u = utilization(ts)
-    if sc.policy == "flush" and sc.security is not None:
-        rep = rta_with_flush(ts, sc.security)
-    else:
-        rep = response_time_analysis(ts)
+    rep = build_policy(sc).analyze(ts)
     return {
         "utilization": float(u),
         "utilization_exact": f"{Fraction(u)}",

@@ -18,8 +18,8 @@ Three layers, loosely coupled:
   dispatch policy.  Normally scans run at a passive priority and period;
   an alert escalates them to a reserved high priority and half the
   period until one escalated scan completes.  Both placements must pass
-  response-time analysis up front, so the monitor can never be the cause
-  of a deadline miss.
+  the wrapped policy's own schedulability test up front, so the monitor
+  can never be the cause of a deadline miss.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from schedlab.analysis import SCHEDULABLE, response_time_analysis
+from schedlab.analysis import SCHEDULABLE
 from schedlab.engine import SchedulingPolicy, VanillaFP
 from schedlab.tasks import Task, TaskSet
 
@@ -240,6 +240,9 @@ class MonitorPolicy(SchedulingPolicy):
     def managed_task_ids(self):
         return {self.scan_task_id} | self.base.managed_task_ids()
 
+    def analyze(self, ts):
+        return self.base.analyze(ts)
+
     def attach(self, ts: TaskSet, ctx):
         try:
             scan = ts.by_id(self.scan_task_id)
@@ -259,7 +262,7 @@ class MonitorPolicy(SchedulingPolicy):
         )
         for label, variant in (("passive", ts),
                                ("fine", TaskSet(tasks=(*others, fine_scan)))):
-            if response_time_analysis(variant).verdict != SCHEDULABLE:
+            if self.base.analyze(variant).verdict != SCHEDULABLE:
                 raise ValueError(
                     f"scan task unschedulable in {label} placement; "
                     "monitoring refused"

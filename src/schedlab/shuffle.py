@@ -23,6 +23,11 @@ least one of two per-task certificates.
   length R + B_j).  Unlike the busy-window form this tolerates inflated
   utilization above 1, at the price of explicit carry-in accounting.
 
+Both certificates are least fixed points of `analysis.fixed_point`: the
+k-th job of the busy window has own cost k * (C_i + V_i) and terms
+(T_j, C_j + V_j, 0), and the release window has own cost C_i + V_i and
+terms (T_j, C_j, B_j).
+
 With V = 0 the busy-window certificate is exactly classic RTA, so every
 RTA-schedulable set admits at least the all-zero vector.  Budgets then
 grow greedily, one tick at a time in priority order, keeping a vector only
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from schedlab.analysis import SCHEDULABLE, response_time_analysis
+from schedlab.analysis import SCHEDULABLE, fixed_point, response_time_analysis
 from schedlab.engine import IDLE, SchedulingPolicy
 from schedlab.tasks import TaskSet
 
@@ -61,19 +66,6 @@ class InversionBudget:
         return self.per_task[task_id]
 
 
-def _lfp(start: int, step, limit: int) -> int | None:
-    """Least fixed point by iteration from below; None once past limit."""
-    r = start
-    for _ in range(100_000):
-        nxt = step(r)
-        if nxt > limit:
-            return None
-        if nxt == r:
-            return r
-        r = nxt
-    return None
-
-
 def _cert_busy_window(task, higher, budgets) -> int | None:
     """Inflated multi-job busy-window bound for task, or None if it fails."""
     v_own = budgets[task.id]
@@ -82,18 +74,12 @@ def _cert_busy_window(task, higher, budgets) -> int | None:
     )
     if infl > 1:
         return None  # window may never close; certificate inapplicable
+    terms = [(h.T, h.C + budgets[h.id], 0) for h in higher]
     worst = 0
     for k in range(1, _MAX_WINDOW_JOBS + 1):
-        own = k * (task.C + v_own)
-
-        def step(r, own=own):
-            return own + sum(
-                math.ceil(r / h.T) * (h.C + budgets[h.id]) for h in higher
-            )
-
         limit = (k - 1) * task.T + task.D
-        r = _lfp(own, step, limit)
-        if r is None:
+        r = fixed_point(k * (task.C + v_own), terms, limit)
+        if r is None or r > limit:
             return None  # k-th job in the window would miss
         worst = max(worst, r - (k - 1) * task.T)
         if r <= k * task.T:
@@ -108,15 +94,8 @@ def _cert_release_window(task, higher, v_own, bounds) -> int | None:
     """
     if any(bounds.get(h.id) is None for h in higher):
         return None
-
-    def step(r):
-        return (
-            task.C
-            + v_own
-            + sum(math.ceil((r + bounds[h.id]) / h.T) * h.C for h in higher)
-        )
-
-    return _lfp(task.C + v_own, step, task.D)
+    r = fixed_point(task.C + v_own, [(h.T, h.C, bounds[h.id]) for h in higher], task.D)
+    return None if r is None or r > task.D else r
 
 
 def _certify(ts: TaskSet, budgets: dict) -> dict | None:

@@ -10,11 +10,13 @@ import random
 
 import pytest
 
+from schedlab import analysis
 from schedlab.analysis import (
     INCONCLUSIVE,
     SCHEDULABLE,
     UNSCHEDULABLE,
     blocking_term_nonpreemptive,
+    fixed_point,
     response_time_analysis,
     rta_nonpreemptive,
     rta_with_flush,
@@ -229,3 +231,49 @@ class TestNonPreemptive:
             trace = simulate(ts, 2 * hyperperiod(ts), policy=NonPreemptiveFP())
             assert not trace.misses, ts.name
         assert passed > 30
+
+    def test_later_job_in_busy_period_is_checked(self):
+        # The first job of task 3 responds by 8, but its level-3 busy
+        # period holds a second job that misses (Davis et al. 2007).
+        ts = TaskSet((
+            Task(id=1, C=2, T=7, priority=1),
+            Task(id=2, C=4, T=8, priority=2),
+            Task(id=3, C=2, T=10, priority=3),
+        ))
+        report = rta_nonpreemptive(ts)
+        assert report.verdict == UNSCHEDULABLE
+        assert report.per_task_response == {1: 5, 2: 7, 3: None}
+        trace = simulate(ts, hyperperiod(ts), policy=NonPreemptiveFP())
+        assert [(e.tick, e.task_id) for e in trace.misses] == [(20, 3), (30, 3)]
+
+    def test_busy_period_that_never_closes_is_unschedulable(self):
+        # Task 2's level sits at U = 1 while task 3 can block it.
+        ts = rm_set((2, 4), (2, 4), (2, 100))
+        report = rta_nonpreemptive(ts)
+        assert report.verdict == UNSCHEDULABLE
+        assert report.per_task_response[2] is None
+        assert report.per_task_response[3] is None
+        assert rta_nonpreemptive(rm_set((3, 5), (3, 5))).per_task_response == {1: 5, 2: None}
+
+
+class TestFixedPointKernel:
+    def test_least_fixed_point(self):
+        # Task 3 of FLAGSHIP: R = 3 + ceil(R/4) + 2 ceil(R/6) = 10.
+        assert fixed_point(3, [(4, 1, 0), (6, 2, 0)], 12) == 10
+
+    def test_overshoot_is_returned(self):
+        assert fixed_point(3, [(5, 3, 0)], 5) == 6
+
+    def test_offset_shifts_the_window(self):
+        # ceil((w + 1) / T) = floor(w / T) + 1: a release at w itself counts,
+        # so from 3 the releases at 0 and 4 both land by the fixed point 5.
+        assert fixed_point(0, [(4, 1, 1)], 100) == 1
+        assert fixed_point(3, [(4, 1, 1)], 100) == 5
+        assert fixed_point(3, [(4, 1, 0)], 100) == 4
+
+    def test_iteration_cap_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
+        assert fixed_point(3, [(4, 1, 0), (6, 2, 0)], 12) is None
+        report = response_time_analysis(FLAGSHIP)
+        assert report.verdict == INCONCLUSIVE
+        assert report.per_task_response == {1: 1, 2: None, 3: None}

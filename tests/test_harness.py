@@ -10,6 +10,7 @@ from schedlab.cli import _parse_values, main
 from schedlab.engine import NonPreemptiveFP, VanillaFP
 from schedlab.flush import FlushFP
 from schedlab.harness import (
+    analyze_scenario,
     build_policy,
     member_seed,
     run_attack,
@@ -519,3 +520,40 @@ def test_cli_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert "verdict: schedulable" in proc.stdout
+
+
+def test_analyze_reports_the_policys_own_method():
+    np_sc = parse_scenario(VANILLA.replace("policy = vanilla",
+                                           "policy = nonpreemptive"))
+    assert analyze_scenario(np_sc)["method"] == "rta_nonpreemptive"
+    assert analyze_scenario(parse_scenario(SHUFFLE))["method"] == "rta"
+    assert analyze_scenario(parse_scenario(MONITOR))["method"] == "rta"
+    flushed = MONITOR + """
+[security]
+mode = pairwise
+flush_cost = 1
+pair = 1 2
+"""
+    assert analyze_scenario(parse_scenario(flushed))["method"] == "rta_flush"
+
+
+def test_nonpreemptive_blocking_is_analyzed():
+    # Plain RTA passes this set; non-preemptive dispatch misses deadlines.
+    text = """
+name = blocked
+policy = nonpreemptive
+hyperperiods = 2
+
+[task]
+id = 1
+C = 1
+T = 2
+
+[task]
+id = 2
+C = 3
+T = 8
+"""
+    sc = parse_scenario(text)
+    assert analyze_scenario(sc)["verdict"] == "unschedulable"
+    assert run_scenario(sc)["simulation"]["total_misses"] > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schedlab import Task, TaskSet, VanillaFP, hyperperiod, simulate
+from schedlab.flush import FlushFP, SecurityPolicy
 from schedlab.monitor import (
     EARLY_RELEASE,
     OVERRUN,
@@ -254,3 +255,18 @@ def test_monitor_runs_are_deterministic():
     a = simulate(ts, 120, policy=MonitorPolicy(9, alert_ticks=[30]), seed=5)
     b = simulate(ts, 120, policy=MonitorPolicy(9, alert_ticks=[30]), seed=5)
     assert a.slots == b.slots and a.events == b.events
+
+
+def test_monitor_over_flush_admits_by_flush_aware_analysis():
+    # Plain RTA passes this set, but not once every dispatch pays a scrub.
+    levels = {1: 3, 2: 2, 3: 1, 9: 0}
+    ts = TaskSet(tasks=tuple(Task(id=t.id, C=t.C, T=t.T, priority=t.priority,
+                                  security_level=levels[t.id])
+                             for t in with_scan()))
+    assert MonitorPolicy(9).analyze(ts).verdict == "schedulable"
+    base = FlushFP(SecurityPolicy(mode="total_order", flush_cost=1))
+    monitor = MonitorPolicy(9, base=base)
+    assert monitor.analyze(ts).method == "rta_flush"
+    assert monitor.analyze(ts).verdict == "unschedulable"
+    with pytest.raises(ValueError, match="passive placement"):
+        simulate(ts, 24, policy=monitor)
