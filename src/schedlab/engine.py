@@ -1,8 +1,13 @@
 """Deterministic tick-level simulator of uniprocessor fixed-priority scheduling.
 
 The engine owns releases, execution accounting, deadline checks, and event
-emission; scheduling decisions are delegated to a pluggable policy object
-invoked every tick.  All randomness (sporadic gaps, variable demands,
+emission; scheduling decisions are delegated to a pluggable policy object.
+The engine advances from decision point to decision point: at each one it
+asks the policy to pick an occupant and then how many ticks that choice
+stands (at most until the next release, the running job's completion, the
+earliest pending deadline or the end of the run), and books them in one
+step.  A policy that holds for one tick is asked again on every tick, so
+the trace is the one a tick-by-tick loop would produce.  All randomness (sporadic gaps, variable demands,
 policy coin flips) derives from the single seed passed to simulate(), so a
 trace is reproducible bit for bit.
 """
@@ -10,9 +15,12 @@ trace is reproducible bit for bit.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from schedlab.analysis import AnalysisReport, response_time_analysis, rta_nonpreemptive
 from schedlab.tasks import PERIODIC, Task, TaskSet, require_valid
@@ -41,7 +49,8 @@ class Job:
 
     completion is the boundary after the last executed slot, so a job whose
     final slot is tick t completes at t + 1.  priority is copied from the
-    owning task at release; policies that re-prioritize at runtime mutate it.
+    owning task at release and is fixed from then on: the engine computes
+    the job's place in the ready queue (sort_key) once, at release.
     """
 
     task_id: int
@@ -54,10 +63,16 @@ class Job:
     start: int | None = None
     completion: int | None = None
     missed: bool = False
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sort_key = (self.priority, self.release, self.job_id)
 
 
-@dataclass(frozen=True)
-class Event:
+_SORT_KEY = attrgetter("sort_key")
+
+
+class Event(NamedTuple):
     tick: int
     kind: str
     task_id: int
@@ -108,8 +123,11 @@ class PolicyError(ValueError):
 
 
 class EngineContext:
-    """Per-tick view handed to policies.
+    """View of the current decision point handed to policies.
 
+    Policies see the context at decision points only: pick() runs there,
+    and hold() then covers the ticks up to the next one, during which no
+    job is released, completes or reaches its deadline.
     current: the job that occupied the previous tick, if it is still
     incomplete (None after idle, flush, or a completion).
     arrivals: jobs released at this tick boundary.
@@ -140,9 +158,16 @@ class SchedulingPolicy:
     """Base policy: subclasses pick the occupant of each tick.
 
     attach() runs once before the first tick and may raise PolicyError to
-    refuse the workload.  pick() must return a Job from `ready`, a job it
-    spawned itself, or the IDLE/FLUSH sentinel.  `ready` is sorted by
-    (priority, release, job_id), so ready[0] is the highest-priority job.
+    refuse the workload.  pick() runs at each decision point and must
+    return a Job from `ready`, a job it spawned itself, or the IDLE/FLUSH
+    sentinel.  `ready` is sorted by (priority, release, job_id), so
+    ready[0] is the highest-priority job.  hold() then says for how many
+    ticks k, 1 <= k <= limit, that choice stands, and books the k - 1
+    ticks after this one as if pick() had run on each; the engine asks
+    again at tick + k.  limit never reaches past the next release, the
+    chosen job's completion, the earliest pending deadline or the end of
+    the run.  The default holds one tick, so a policy without its own
+    hold() is asked on every tick.
     analyze() is the schedulability test that is sound for this dispatch;
     scenario verdicts and monitor admission both ask the policy for it.
     """
@@ -163,6 +188,11 @@ class SchedulingPolicy:
     def pick(self, tick: int, ready: list[Job], ctx: EngineContext):
         raise NotImplementedError
 
+    def hold(self, tick: int, ready: list[Job], ctx: EngineContext, choice,
+             limit: int) -> int:
+        """Ticks, from 1 to limit, for which `choice` stands."""
+        return 1
+
 
 class VanillaFP(SchedulingPolicy):
     """Preemptive fixed-priority dispatch: highest-priority ready job runs."""
@@ -171,6 +201,9 @@ class VanillaFP(SchedulingPolicy):
 
     def pick(self, tick, ready, ctx):
         return ready[0] if ready else IDLE
+
+    def hold(self, tick, ready, ctx, choice, limit):
+        return limit  # ready cannot change before the next decision point
 
 
 class NonPreemptiveFP(SchedulingPolicy):
@@ -185,6 +218,9 @@ class NonPreemptiveFP(SchedulingPolicy):
         if ctx.current is not None:
             return ctx.current
         return ready[0] if ready else IDLE
+
+    def hold(self, tick, ready, ctx, choice, limit):
+        return limit
 
 
 class _Engine:
@@ -206,9 +242,14 @@ class _Engine:
         self.jobs: list[Job] = []
         self.slots: list[int] = []
         self.slot_jobs: list[int] = []
-        self.ready: list[Job] = []  # sorted by (priority, release, job_id)
+        self.ready: list[Job] = []  # sorted by Job.sort_key
         self.job_counter = 0
-        self.next_release: dict[int, int] = {}
+        # (due tick, index in ts, task) for every task the engine releases;
+        # popping it releases one tick's jobs in task-set order.
+        self.releases: list[tuple[int, int, Task]] = []
+        # (absolute deadline, job id, job) of every released job; entries of
+        # finished or missed jobs are dropped lazily when they reach the top.
+        self.deadlines: list[tuple[int, int, Job]] = []
         self.ctx = EngineContext(self)
 
     def _geometric_extra(self, mean: float) -> int:
@@ -225,11 +266,6 @@ class _Engine:
             return self.arrival_rng.randint(task.bcet, task.C)
         return task.C
 
-    def _insert_ready(self, job: Job) -> None:
-        key = (job.priority, job.release, job.job_id)
-        keys = [(j.priority, j.release, j.job_id) for j in self.ready]
-        self.ready.insert(bisect.bisect(keys, key), job)
-
     def spawn_job(self, task_id: int, demand: int, deadline: int, priority: int) -> Job:
         tick = self.ctx.tick
         job = Job(
@@ -243,88 +279,124 @@ class _Engine:
         )
         self.job_counter += 1
         self.jobs.append(job)
-        self._insert_ready(job)
+        bisect.insort(self.ready, job, key=_SORT_KEY)
+        heapq.heappush(self.deadlines, (deadline, job.job_id, job))
         self.events.append(Event(tick, "release", task_id, job.job_id))
         self.ctx.arrivals.append(job)
         return job
 
     def _release_due(self, tick: int) -> None:
-        for task in self.ts:
-            if task.id in self.managed:
-                continue
-            due = self.next_release[task.id]
-            if due == tick:
-                self.spawn_job(
-                    task.id, self._job_demand(task), tick + task.D, task.priority
-                )
-                if task.kind == PERIODIC:
-                    self.next_release[task.id] = due + task.T
-                else:
-                    mean = self.sporadic_mean_extra
-                    if mean is None:
-                        mean = task.T / 2
-                    self.next_release[task.id] = due + task.T + self._geometric_extra(mean)
+        releases = self.releases
+        while releases and releases[0][0] == tick:
+            _, index, task = releases[0]
+            self.spawn_job(task.id, self._job_demand(task), tick + task.D, task.priority)
+            due = tick + task.T
+            if task.kind != PERIODIC:
+                mean = self.sporadic_mean_extra
+                if mean is None:
+                    mean = task.T / 2
+                due += self._geometric_extra(mean)
+            heapq.heapreplace(releases, (due, index, task))
 
     def run(self) -> ScheduleTrace:
-        self.policy.attach(self.ts, self.ctx)
-        self.managed = set(self.policy.managed_task_ids())
-        for task in self.ts:
-            if task.id not in self.managed:
-                self.next_release[task.id] = task.phase
+        policy = self.policy
+        ctx = self.ctx
+        policy.attach(self.ts, ctx)
+        managed = policy.managed_task_ids()
+        releases = self.releases = [(t.phase, i, t) for i, t in enumerate(self.ts)
+                                    if t.id not in managed]
+        heapq.heapify(releases)
+        deadlines = self.deadlines
+        ready = self.ready
+        events = self.events
+        slots = self.slots
+        slot_jobs = self.slot_jobs
+        duration = self.duration
         prev_job: Job | None = None  # occupant of the previous tick (jobs only)
         prev_occ = IDLE
-        for tick in range(self.duration):
-            self.ctx.tick = tick
-            self.ctx.arrivals = []
-            self.ctx.completed = None
+        deadline = None  # earliest pending deadline after the previous decision
+        tick = 0
+        while tick < duration:
+            ctx.tick = tick
+            ctx.arrivals = []
+            ctx.completed = None
             if prev_job is not None and prev_job.remaining == 0:
                 prev_job.completion = tick
-                self.events.append(Event(tick, "complete", prev_job.task_id, prev_job.job_id))
-                self.ready.remove(prev_job)
-                self.ctx.completed = prev_job
+                events.append(Event(tick, "complete", prev_job.task_id, prev_job.job_id))
+                ready.remove(prev_job)
+                ctx.completed = prev_job
                 prev_job = None
-            self.ctx.current = prev_job
-            self._release_due(tick)
-            for job in list(self.ready):
-                if job.absolute_deadline == tick and job.remaining > 0 and not job.missed:
+            ctx.current = prev_job
+            if releases and releases[0][0] == tick:
+                self._release_due(tick)
+            if deadline == tick:
+                for job in [j for j in ready if j.absolute_deadline == tick
+                            and j.remaining > 0 and not j.missed]:
                     job.missed = True
-                    self.events.append(Event(tick, "deadline_miss", job.task_id, job.job_id))
+                    events.append(Event(tick, "deadline_miss", job.task_id, job.job_id))
                     if self.abort_on_miss:
-                        self.ready.remove(job)
+                        ready.remove(job)
                         if prev_job is job:
                             prev_job = None
-                            self.ctx.current = None
-            choice = self.policy.pick(tick, self.ready, self.ctx)
-            if choice is IDLE or choice is FLUSH or isinstance(choice, int):
+                            ctx.current = None
+            choice = policy.pick(tick, ready, ctx)
+            is_job = not (choice is IDLE or choice is FLUSH or isinstance(choice, int))
+            if is_job and choice.remaining <= 0:
+                raise RuntimeError("policy picked a finished job")
+            # Decision points: the next release, the earliest pending
+            # deadline, the chosen job's completion and the end of the run.
+            limit = duration - tick
+            if releases and releases[0][0] - tick < limit:
+                limit = releases[0][0] - tick
+            # Drop finished and missed jobs' entries, and deadlines no tick
+            # will check: those at or before this one, which a policy's own
+            # spawn in pick() may have set.
+            while deadlines:
+                deadline, _, pending = deadlines[0]
+                if deadline > tick and pending.completion is None and not pending.missed:
+                    if deadline - tick < limit:
+                        limit = deadline - tick
+                    break
+                heapq.heappop(deadlines)
+            else:
+                deadline = None
+            if is_job and choice.remaining < limit:
+                limit = choice.remaining
+            k = policy.hold(tick, ready, ctx, choice, limit)
+            if not 1 <= k <= limit:
+                raise RuntimeError(
+                    f"policy {policy.name} held its choice for {k!r} ticks at"
+                    f" tick {tick}; allowed 1..{limit}"
+                )
+            if is_job:
+                job = choice
+                if prev_occ == FLUSH:
+                    events.append(Event(tick, "flush_end", -1, -1))
+                if prev_job is not None and prev_job is not job:
+                    events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
+                if job.start is None:
+                    job.start = tick
+                    events.append(Event(tick, "start", job.task_id, job.job_id))
+                elif prev_job is not job:
+                    events.append(Event(tick, "resume", job.task_id, job.job_id))
+                job.remaining -= k
+                slots.extend([job.task_id] * k)
+                slot_jobs.extend([job.job_id] * k)
+                prev_job = job
+                prev_occ = job.task_id
+            else:
                 occ = choice
                 if prev_job is not None:
-                    self.events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
+                    events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
                 if occ == FLUSH and prev_occ != FLUSH:
-                    self.events.append(Event(tick, "flush_begin", -1, -1))
+                    events.append(Event(tick, "flush_begin", -1, -1))
                 if prev_occ == FLUSH and occ != FLUSH:
-                    self.events.append(Event(tick, "flush_end", -1, -1))
-                self.slots.append(occ)
-                self.slot_jobs.append(-1)
+                    events.append(Event(tick, "flush_end", -1, -1))
+                slots.extend([occ] * k)
+                slot_jobs.extend([-1] * k)
                 prev_job = None
                 prev_occ = occ
-                continue
-            job = choice
-            if job.remaining <= 0:
-                raise RuntimeError("policy picked a finished job")
-            if prev_occ == FLUSH:
-                self.events.append(Event(tick, "flush_end", -1, -1))
-            if prev_job is not None and prev_job is not job:
-                self.events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
-            if job.start is None:
-                job.start = tick
-                self.events.append(Event(tick, "start", job.task_id, job.job_id))
-            elif prev_job is not job:
-                self.events.append(Event(tick, "resume", job.task_id, job.job_id))
-            job.remaining -= 1
-            self.slots.append(job.task_id)
-            self.slot_jobs.append(job.job_id)
-            prev_job = job
-            prev_occ = job.task_id
+            tick += k
         # Boundary bookkeeping for a job finishing on the last slot.
         if prev_job is not None and prev_job.remaining == 0:
             prev_job.completion = self.duration

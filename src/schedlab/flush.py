@@ -122,6 +122,17 @@ class FlushFP(SchedulingPolicy):
         self.taint.add(job.task_id)
         return job
 
+    def hold(self, tick, ready, ctx, choice, limit):
+        # A job or idle stands until ready changes; a scrub runs its course.
+        if choice is not FLUSH:
+            return limit
+        k = min(1 + self._flush_left, limit)
+        if k > 1:
+            self._flush_left -= k - 1
+            if self._flush_left == 0:
+                self._clear_pending = True
+        return k
+
 
 def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:
     """Count dispatch boundaries where a task began running over forbidden residue.

@@ -33,11 +33,15 @@ from schedlab.restart import (
     optimize_period,
     periodic_analysis,
 )
-from schedlab.scenario import Scenario
+from schedlab.scenario import Scenario, ScenarioError
 from schedlab.shuffle import ShuffleFP, compute_budgets, schedule_entropy
 from schedlab.tasks import PERIODIC, TaskSet, hyperperiod, utilization
 
 SEED_STRIDE = 1_000_003  # spreads ensemble members across seed space
+# Most ticks (duration x runs) one command may simulate.  A scenario past it,
+# such as co-prime periods with a hyperperiod near 10^9, is refused before
+# the first tick rather than left to run for hours.
+MAX_SIMULATED_TICKS = 10_000_000
 
 
 def member_seed(master: int, index: int) -> int:
@@ -74,6 +78,14 @@ def scenario_duration(sc: Scenario) -> int:
     return sc.hyperperiods * hyperperiod(sc.taskset)
 
 
+def _check_slot_budget(duration: int, runs: int) -> None:
+    if duration * runs > MAX_SIMULATED_TICKS:
+        raise ScenarioError(
+            f"{duration} ticks x {runs} runs exceeds the limit of"
+            f" {MAX_SIMULATED_TICKS} simulated ticks"
+        )
+
+
 def _fold_period(ts: TaskSet, duration: int):
     try:
         h = hyperperiod(ts)
@@ -104,6 +116,7 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
         raise ValueError("runs must be >= 1")
     ts = sc.taskset
     duration = scenario_duration(sc)
+    _check_slot_budget(duration, runs)
     traces = [
         simulate(ts, duration, policy=build_policy(sc),
                  seed=member_seed(sc.seed, i))
@@ -215,6 +228,7 @@ def run_attack(sc: Scenario, window: int | None = None) -> dict:
     """
     ts = sc.taskset
     duration = window if window is not None else scenario_duration(sc)
+    _check_slot_budget(duration, 1)
     victim_trace = simulate(ts, duration, policy=build_policy(sc),
                             seed=sc.seed)
     obs = Observation.from_trace(victim_trace)

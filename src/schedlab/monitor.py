@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from schedlab.analysis import SCHEDULABLE
+from schedlab.analysis import SCHEDULABLE, UNSCHEDULABLE, AnalysisReport
 from schedlab.engine import SchedulingPolicy, VanillaFP
 from schedlab.tasks import Task, TaskSet
 
@@ -241,9 +241,17 @@ class MonitorPolicy(SchedulingPolicy):
         return {self.scan_task_id} | self.base.managed_task_ids()
 
     def analyze(self, ts):
-        return self.base.analyze(ts)
+        """The base policy's report on the passive placement when both
+        placements pass, otherwise on the first one that fails."""
+        return self._admission(ts)[1]
 
-    def attach(self, ts: TaskSet, ctx):
+    def _admission(self, ts: TaskSet):
+        """(label of the first failing placement or None, its report).
+
+        The scan runs in two placements: passive, as declared, and fine, at
+        fine_priority with half the period.  Both must pass the base
+        policy's own test; with both passing the passive report is given.
+        """
         try:
             scan = ts.by_id(self.scan_task_id)
         except KeyError:
@@ -255,20 +263,32 @@ class MonitorPolicy(SchedulingPolicy):
             raise ValueError(
                 f"fine priority {self.fine_priority} collides with task set"
             )
+        passive = self.base.analyze(ts)
+        if passive.verdict != SCHEDULABLE:
+            return PASSIVE, passive
         fine_period = max(1, scan.T // 2)
+        if scan.C > fine_period:
+            # An escalated scan longer than its own period never keeps up.
+            return FINE, AnalysisReport(UNSCHEDULABLE, passive.method,
+                                        {scan.id: None})
         fine_scan = dataclasses.replace(
             scan, T=fine_period, D=fine_period, priority=self.fine_priority,
             phase=0,
         )
-        for label, variant in (("passive", ts),
-                               ("fine", TaskSet(tasks=(*others, fine_scan)))):
-            if self.base.analyze(variant).verdict != SCHEDULABLE:
-                raise ValueError(
-                    f"scan task unschedulable in {label} placement; "
-                    "monitoring refused"
-                )
-        self._scan = scan
-        self._fine_period = fine_period
+        fine = self.base.analyze(TaskSet(tasks=(*others, fine_scan)))
+        if fine.verdict != SCHEDULABLE:
+            return FINE, fine
+        return None, passive
+
+    def attach(self, ts: TaskSet, ctx):
+        failed, _ = self._admission(ts)
+        if failed is not None:
+            raise ValueError(
+                f"scan task unschedulable in {failed} placement; "
+                "monitoring refused"
+            )
+        self._scan = ts.by_id(self.scan_task_id)
+        self._fine_period = max(1, self._scan.T // 2)
         self._state = _ScanState(alerts=self.alert_ticks)
         self.base.attach(ts, ctx)
 
@@ -306,6 +326,19 @@ class MonitorPolicy(SchedulingPolicy):
                       deadline=tick + period, priority=self._priority())
             st.last_release = tick
         return self.base.pick(tick, ready, ctx)
+
+    def hold(self, tick, ready, ctx, choice, limit):
+        # The mode falls back only at a scan's completion, which already
+        # ends the hold; an alert or the next scan release must end it too.
+        st = self._state
+        if self.escalate and st.mode == PASSIVE and st.alert_idx < len(st.alerts):
+            limit = min(limit, st.alerts[st.alert_idx] - tick)
+        if st.last_release is None:
+            due = self._scan.phase
+        else:
+            due = st.last_release + self._period()
+        limit = min(limit, due - tick)
+        return self.base.hold(tick, ready, ctx, choice, limit)
 
 
 def detection_latencies(trace, scan_task_id: int, alert_ticks) -> list:

@@ -221,16 +221,37 @@ class ShuffleFP(SchedulingPolicy):
                 candidates.append(IDLE)
             choice = ctx.rng.choice(candidates)
         if self.budget is not None:
-            charged = ready if choice is IDLE else [
-                j for j in ready if j.priority < choice.priority
-            ]
-            for j in charged:
+            for j in self._charged(choice, ready):
                 left = self.remaining.get(j.job_id, 0) - 1
                 if self.guard == GUARD_BUDGET and left < 0:
                     raise AssertionError("inversion budget overdrawn")
                 self.remaining[j.job_id] = left
         self.sticky = choice
         return choice
+
+    @staticmethod
+    def _charged(choice, ready):
+        """The waiting jobs whose budgets a tick of `choice` charges."""
+        if choice is IDLE:
+            return ready
+        return [j for j in ready if j.priority < choice.priority]
+
+    def hold(self, tick, ready, ctx, choice, limit):
+        # Between decision points the sticky choice stays legal while every
+        # job it charges has a tick of budget left, so it stands for one
+        # tick more than the smallest such budget.
+        if self.mode == FINE_GRAINED:
+            return 1
+        if not ready:
+            return limit  # forced idle charges nobody
+        charged = self._charged(choice, ready)
+        k = limit
+        if self.guard == GUARD_BUDGET and charged:
+            k = min(limit, 1 + min(self.remaining.get(j.job_id, 0) for j in charged))
+        if self.budget is not None:
+            for j in charged:
+                self.remaining[j.job_id] = self.remaining.get(j.job_id, 0) - (k - 1)
+        return k
 
 
 def _slot_seq(trace):

@@ -12,6 +12,7 @@ from schedlab.engine import (
     FLUSH,
     IDLE,
     NonPreemptiveFP,
+    SchedulingPolicy,
     VanillaFP,
     check_trace,
     extract_busy_intervals,
@@ -245,3 +246,47 @@ class TestValidationAtBoundary:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             simulate(FLAGSHIP, 0)
+
+
+class TestHoldContract:
+    class Holding(VanillaFP):
+        def __init__(self, extra):
+            self.extra = extra
+            self.limits = []
+
+        def hold(self, tick, ready, ctx, choice, limit):
+            self.limits.append(limit)
+            return self.extra(limit)
+
+    def test_zero_ticks_is_refused(self):
+        # Holding for 0 ticks would never advance the run.
+        with pytest.raises(RuntimeError, match="allowed 1"):
+            simulate(FLAGSHIP, 24, policy=self.Holding(lambda limit: 0))
+
+    def test_holding_past_the_limit_is_refused(self):
+        with pytest.raises(RuntimeError, match="allowed 1"):
+            simulate(FLAGSHIP, 24, policy=self.Holding(lambda limit: limit + 1))
+
+    def test_limit_stops_at_releases_completions_and_the_end(self):
+        policy = self.Holding(lambda limit: limit)
+        trace = simulate(FLAGSHIP, 12, policy=policy)
+        assert trace.slots == simulate(FLAGSHIP, 12).slots
+        # Decision points 0, 1, 3, 4, 5, 6, 8, 9, 10: releases at 0, 4, 6,
+        # 8; completions at 1, 3, 5, 8, 9, 10; the run ends at 12.
+        assert policy.limits == [1, 2, 1, 1, 1, 2, 1, 1, 2]
+
+    def test_policy_without_hold_is_asked_every_tick(self):
+        class Counting(SchedulingPolicy):
+            def __init__(self):
+                self.ticks = []
+
+            def pick(self, tick, ready, ctx):
+                self.ticks.append(tick)
+                return ready[0] if ready else IDLE
+
+        policy = Counting()
+        trace = simulate(FLAGSHIP, 24, policy=policy)
+        assert policy.ticks == list(range(24))
+        vanilla = simulate(FLAGSHIP, 24)
+        assert trace.slots_csv() == vanilla.slots_csv()
+        assert trace.events_csv() == vanilla.events_csv()

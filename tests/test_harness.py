@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from schedlab.cli import _parse_values, main
 from schedlab.engine import NonPreemptiveFP, VanillaFP
 from schedlab.flush import FlushFP
 from schedlab.harness import (
+    MAX_SIMULATED_TICKS,
     analyze_scenario,
     build_policy,
     member_seed,
@@ -20,7 +22,7 @@ from schedlab.harness import (
 )
 from schedlab.monitor import MonitorPolicy
 from schedlab.restart import optimize_period
-from schedlab.scenario import Scenario, parse_scenario
+from schedlab.scenario import Scenario, ScenarioError, parse_scenario
 from schedlab.shuffle import ShuffleFP
 from schedlab.tasks import SPORADIC, Task, TaskSet
 
@@ -153,6 +155,55 @@ T = 4
 id = 2
 C = 3
 T = 4
+"""
+
+
+# analyze passes the passive placement, but the escalated scan (C=2, T=4,
+# top priority) leaves 3-tick jobs with periods of 8 unschedulable.
+ESCALATION_FAILS = """
+name = crowded
+policy = monitor
+duration = 64
+
+[task]
+id = 1
+C = 3
+T = 8
+
+[task]
+id = 2
+C = 3
+T = 8
+
+[task]
+id = 3
+C = 2
+T = 8
+
+[monitor]
+scan_task = 3
+alert = 10
+"""
+
+# Co-prime periods: one hyperperiod is 971,230,541 ticks.
+COPRIME = """
+name = coprime
+policy = vanilla
+
+[task]
+id = 1
+C = 1
+T = 997
+
+[task]
+id = 2
+C = 1
+T = 991
+
+[task]
+id = 3
+C = 1
+T = 983
 """
 
 
@@ -520,6 +571,31 @@ def test_cli_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert "verdict: schedulable" in proc.stdout
+
+
+def test_cli_monitor_verdict_covers_the_escalated_placement(tmp_path, capsys):
+    path = _write(tmp_path, ESCALATION_FAILS)
+    assert main(["analyze", path]) == 1
+    assert "verdict: unschedulable" in capsys.readouterr().out
+    assert main(["simulate", path]) == 2
+    assert "fine placement" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["report"], ["attack"],
+                                  ["simulate", "--runs", "2"]])
+def test_cli_refuses_runs_past_the_slot_budget(tmp_path, capsys, argv):
+    path = _write(tmp_path, COPRIME)
+    start = time.perf_counter()
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "simulated ticks" in capsys.readouterr().err
+
+
+def test_slot_budget_counts_every_run():
+    sc = parse_scenario(VANILLA.replace("seed = 0", "seed = 0\nduration = 5000000"))
+    with pytest.raises(ScenarioError, match="5000000 ticks x 3 runs"):
+        run_scenario(sc, runs=3)
+    assert MAX_SIMULATED_TICKS >= 5_000_000 * 2
 
 
 def test_analyze_reports_the_policys_own_method():
