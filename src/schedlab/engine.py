@@ -6,10 +6,11 @@ The engine advances from decision point to decision point: at each one it
 asks the policy to pick an occupant and then how many ticks that choice
 stands (at most until the next release, the running job's completion, the
 earliest pending deadline or the end of the run), and books them in one
-step.  A policy that holds for one tick is asked again on every tick, so
-the trace is the one a tick-by-tick loop would produce.  All randomness (sporadic gaps, variable demands,
-policy coin flips) derives from the single seed passed to simulate(), so a
-trace is reproducible bit for bit.
+step.  A hold stands for exactly the picks the policy would have made on
+the ticks it covers, so the trace is the one a tick-by-tick loop would
+produce; the default hold is one tick.  All randomness (sporadic gaps,
+variable demands, policy coin flips) derives from the single seed passed
+to simulate(), so a trace is reproducible bit for bit.
 """
 
 from __future__ import annotations

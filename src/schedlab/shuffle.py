@@ -242,8 +242,6 @@ class ShuffleFP(SchedulingPolicy):
         # tick more than the smallest such budget.
         if self.mode == FINE_GRAINED:
             return 1
-        if not ready:
-            return limit  # forced idle charges nobody
         charged = self._charged(choice, ready)
         k = limit
         if self.guard == GUARD_BUDGET and charged:

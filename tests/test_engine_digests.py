@@ -1,13 +1,13 @@
 """Frozen engine traces: sha256 of slots_csv() + events_csv() per case.
 
 Each digest keeps the first 16 hex digits.  They were taken from the
-tick-by-tick engine before it learned to hold a choice across ticks.
-Any change to the engine or to a policy that
-moves one slot, one event or one random draw changes a digest here.  The
-cases cover what the benchmark's pinned traces do not: every policy and
-guard, every flush mode and cost, monitor alerts before the scan's phase,
-sporadic tasks with variable demand, overload with and without abort,
-one-tick runs, and runs that end in the middle of a scrub or a job.
+tick-by-tick engine before it learned to hold a choice across ticks.  Any
+change to the engine or to a policy that moves one slot, one event or one
+random draw changes a digest here.  The cases cover what the benchmark's
+pinned traces do not: every policy and guard, every flush mode and cost,
+monitor alerts before the scan's phase, sporadic tasks with variable
+demand, overload with and without abort, one-tick runs, and runs that end
+in the middle of a scrub or a job.
 """
 
 import hashlib
