@@ -33,6 +33,9 @@ class AnalysisReport:
     method: str
     per_task_response: dict = field(default_factory=dict)
     bound_value: float | None = None
+    # Task id -> the deadline its response was checked against.  A test may
+    # run on a variant of the given set (the monitor's fine placement).
+    deadlines: dict = field(default_factory=dict)
 
 
 def utilization_bound_test(ts: TaskSet) -> AnalysisReport:
@@ -97,7 +100,8 @@ def _report(method: str, by_prio, bounds, bound_value=None) -> AnalysisReport:
             verdict = UNSCHEDULABLE
         responses[task.id] = r if r is not None and r <= task.D else None
     return AnalysisReport(verdict=verdict, method=method,
-                          per_task_response=responses, bound_value=bound_value)
+                          per_task_response=responses, bound_value=bound_value,
+                          deadlines={task.id: task.D for task in by_prio})
 
 
 def _preemptive_bounds(by_prio, f: int) -> list:

@@ -21,7 +21,8 @@ import sys
 from schedlab.analysis import SCHEDULABLE
 from schedlab.harness import (
     SWEEP_KEYS,
-    analyze_scenario,
+    analysis_block,
+    build_policy,
     run_attack,
     run_scenario,
     sweep,
@@ -63,15 +64,17 @@ def _parse_values(text: str) -> list:
 
 def _cmd_analyze(args) -> int:
     sc = parse_scenario_file(args.scenario)
-    block = analyze_scenario(sc)
+    rep = build_policy(sc).analyze(sc.taskset)
+    block = analysis_block(sc.taskset, rep)
     print(f"scenario {sc.name}: policy={sc.policy}")
     print(f"utilization: {block['utilization']:.4f}"
           f" ({block['utilization_exact']})")
     print(f"method: {block['method']}")
     print(f"verdict: {block['verdict']}")
-    for tid, r in sorted(block["responses"].items(), key=lambda kv: int(kv[0])):
-        task = sc.taskset.by_id(int(tid))
-        print(f"  task {tid}: response={r} deadline={task.D}")
+    # Each deadline is the one the test checked, which for a monitor's
+    # failing fine placement is the scan's escalated one.
+    for tid, r in sorted(rep.per_task_response.items()):
+        print(f"  task {tid}: response={r} deadline={rep.deadlines[tid]}")
     return 0 if block["verdict"] == SCHEDULABLE else 1
 
 

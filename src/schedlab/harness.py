@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from schedlab.analysis import rta_with_flush
+from schedlab.analysis import AnalysisReport, rta_with_flush
 from schedlab.engine import (
     FLUSH,
     IDLE,
@@ -34,7 +34,12 @@ from schedlab.restart import (
     periodic_analysis,
 )
 from schedlab.scenario import Scenario, ScenarioError
-from schedlab.shuffle import ShuffleFP, compute_budgets, schedule_entropy
+from schedlab.shuffle import (
+    InversionBudget,
+    ShuffleFP,
+    compute_budgets,
+    schedule_entropy,
+)
 from schedlab.tasks import PERIODIC, TaskSet, hyperperiod, utilization
 
 SEED_STRIDE = 1_000_003  # spreads ensemble members across seed space
@@ -48,15 +53,19 @@ def member_seed(master: int, index: int) -> int:
     return master + SEED_STRIDE * index
 
 
-def build_policy(sc: Scenario) -> SchedulingPolicy:
-    """Fresh policy object for one run of the scenario."""
+def build_policy(sc: Scenario,
+                 budgets: InversionBudget | None = None) -> SchedulingPolicy:
+    """Fresh policy object for one run of the scenario.
+
+    A shuffle policy given budgets uses them instead of computing its own.
+    """
     if sc.policy == "vanilla":
         return VanillaFP()
     if sc.policy == "nonpreemptive":
         return NonPreemptiveFP()
     if sc.policy == "shuffle":
         cfg = sc.shuffle
-        return ShuffleFP(mode=cfg.mode, guard=cfg.guard)
+        return ShuffleFP(mode=cfg.mode, guard=cfg.guard, budgets=budgets)
     if sc.policy == "flush":
         return FlushFP(sc.security)
     if sc.policy == "monitor":
@@ -96,9 +105,12 @@ def _fold_period(ts: TaskSet, duration: int):
 
 def analyze_scenario(sc: Scenario) -> dict:
     """Static verdict for the scenario's task set, by its policy's own test."""
-    ts = sc.taskset
+    return analysis_block(sc.taskset, build_policy(sc).analyze(sc.taskset))
+
+
+def analysis_block(ts: TaskSet, rep: AnalysisReport) -> dict:
+    """The report's analysis block: rep, a test's report on ts, plus U."""
     u = utilization(ts)
-    rep = build_policy(sc).analyze(ts)
     return {
         "utilization": float(u),
         "utilization_exact": f"{Fraction(u)}",
@@ -117,8 +129,12 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
     ts = sc.taskset
     duration = scenario_duration(sc)
     _check_slot_budget(duration, runs)
+    # One certification serves every run and the report's shuffle block.
+    budgets = None
+    if sc.policy == "shuffle" and sc.shuffle.guard == "budget":
+        budgets = compute_budgets(ts)
     traces = [
-        simulate(ts, duration, policy=build_policy(sc),
+        simulate(ts, duration, policy=build_policy(sc, budgets),
                  seed=member_seed(sc.seed, i))
         for i in range(runs)
     ]
@@ -180,8 +196,7 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
     else:
         report["entropy"] = None
 
-    if sc.policy == "shuffle" and sc.shuffle.guard == "budget":
-        budgets = compute_budgets(ts)
+    if budgets is not None:
         report["shuffle"] = {
             "budgets": {str(k): v for k, v in sorted(budgets.per_task.items())},
             "completion_bounds": {

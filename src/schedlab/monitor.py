@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from schedlab.analysis import SCHEDULABLE, UNSCHEDULABLE, AnalysisReport
 from schedlab.engine import SchedulingPolicy, VanillaFP
 from schedlab.tasks import Task, TaskSet
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where used: no scan or analysis path needs it
 
 OVERRUN = "overrun"
 EARLY_RELEASE = "early_release"
@@ -95,6 +97,8 @@ def activity_features(trace, ts: TaskSet, window: int) -> np.ndarray:
 
     Trailing slots that do not fill a whole window are dropped.
     """
+    import numpy as np
+
     if window <= 0:
         raise ValueError("window must be positive")
     if window > trace.duration:
@@ -126,6 +130,8 @@ class ActivityProfile:
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray):
+    import numpy as np
+
     for _ in range(100):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
@@ -152,6 +158,8 @@ def fit_profile(vectors, k: int, ridge: float = 1e-6,
     squared error therefore never increases when k grows.  Requires at
     least k * d training vectors and at least k distinct ones.
     """
+    import numpy as np
+
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2:
         raise ValueError("training vectors must be a 2-d array")
@@ -187,6 +195,8 @@ def fit_profile(vectors, k: int, ridge: float = 1e-6,
 
 def score_vectors(profile: ActivityProfile, vectors) -> np.ndarray:
     """Mahalanobis distance to the nearest centroid, one score per row."""
+    import numpy as np
+
     x = np.atleast_2d(np.asarray(vectors, dtype=float))
     if x.shape[1] != profile.centroids.shape[1]:
         raise ValueError(
@@ -270,7 +280,8 @@ class MonitorPolicy(SchedulingPolicy):
         if scan.C > fine_period:
             # An escalated scan longer than its own period never keeps up.
             return FINE, AnalysisReport(UNSCHEDULABLE, passive.method,
-                                        {scan.id: None})
+                                        {scan.id: None},
+                                        deadlines={scan.id: fine_period})
         fine_scan = dataclasses.replace(
             scan, T=fine_period, D=fine_period, priority=self.fine_priority,
             phase=0,

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -122,6 +120,8 @@ def detection_analysis(period, reboot, compromise_rate,
 def simulate_periodic(period, reboot, compromise_rate, trials=100_000,
                       seed=0) -> MonteCarloReport:
     """Draw per-cycle compromise times directly; cycles are length P."""
+    import numpy as np
+
     _check_common(period, reboot, compromise_rate)
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -150,6 +150,8 @@ def simulate_detection(period, reboot, compromise_rate, detection_rate,
     Confidence intervals for the ratios come from the delta method:
     var(A/B) ~ var(a - (A/B) b) / (n * mean(b)^2).
     """
+    import numpy as np
+
     _check_common(period, reboot, compromise_rate)
     if detection_rate <= 0:
         raise ValueError("detection rate must be positive")

@@ -15,7 +15,9 @@ least one of two per-task certificates.
   tick consumes budget from some pending job at level i or above, so the
   window and each job's completion are bounded by the classic multi-job
   busy-window recurrence with each participant's cost inflated to
-  C_j + V_j.  Requires the inflated utilization at level i to stay <= 1.
+  C_j + V_j.  Requires the inflated utilization at level i to stay <= 1,
+  tested exactly in integers: sum of (C_j + V_j) * (H / T_j) <= H, with H
+  the lcm of the set's periods.
 * Release-window certificate: a job of tau_i finishes within
   R = C_i + V_i + sum over higher j of ceil((R + B_j) / T_j) * C_j,
   where B_j is an already-proven completion bound for tau_j (so hp work
@@ -26,19 +28,31 @@ least one of two per-task certificates.
 Both certificates are least fixed points of `analysis.fixed_point`: the
 k-th job of the busy window has own cost k * (C_i + V_i) and terms
 (T_j, C_j + V_j, 0), and the release window has own cost C_i + V_i and
-terms (T_j, C_j, B_j).
+terms (T_j, C_j, B_j).  B_i is the smaller of the two bounds that hold.
 
 With V = 0 the busy-window certificate is exactly classic RTA, so every
 RTA-schedulable set admits at least the all-zero vector.  Budgets then
 grow greedily, one tick at a time in priority order, keeping a vector only
-when every task still certifies.
+when every task still certifies.  Two facts keep the greedy cheap without
+changing a budget or a bound it grants:
+
+* Task i's certificates read only V_j and B_j of tau_i and the tasks above
+  it.  So after a one-tick raise of V_k the bounds above k stand, and only
+  tau_k and the tasks below it are certified again.
+* Every fixed point and the inflated utilization are non-decreasing in
+  every V_j and every B_j, and so, task by task from the top, is every B_i.
+  (The iteration cap of `fixed_point` cannot break this while the limits
+  stay below it, since each iterate under the limit adds at least a tick.)
+  A vector that fails therefore makes every larger vector fail.  Budgets
+  only grow, so a task whose one-tick raise failed would fail again in
+  every later sweep, and it is not tried again.  The greedy still accepts
+  the same vectors in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from schedlab.analysis import SCHEDULABLE, fixed_point, response_time_analysis
 from schedlab.engine import IDLE, SchedulingPolicy
@@ -66,19 +80,25 @@ class InversionBudget:
         return self.per_task[task_id]
 
 
-def _cert_busy_window(task, higher, budgets) -> int | None:
-    """Inflated multi-job busy-window bound for task, or None if it fails."""
-    v_own = budgets[task.id]
-    infl = Fraction(task.C + v_own, task.T) + sum(
-        Fraction(h.C + budgets[h.id], h.T) for h in higher
-    )
-    if infl > 1:
+def _utilization_scale(by_prio) -> tuple[int, list]:
+    """H, the lcm of the periods, and each task's weight H / T."""
+    hyper = math.lcm(*(t.T for t in by_prio))
+    return hyper, [hyper // t.T for t in by_prio]
+
+
+def _cert_busy_window(task, cost, terms, load, hyper) -> int | None:
+    """Inflated multi-job busy-window bound for task, or None if it fails.
+
+    cost is C + V of task, terms hold (T_j, C_j + V_j, 0) of the tasks
+    above it, and load is sum of (C_j + V_j) * (H / T_j) over task and
+    those above it, with hyper = H.
+    """
+    if load > hyper:
         return None  # window may never close; certificate inapplicable
-    terms = [(h.T, h.C + budgets[h.id], 0) for h in higher]
     worst = 0
     for k in range(1, _MAX_WINDOW_JOBS + 1):
         limit = (k - 1) * task.T + task.D
-        r = fixed_point(k * (task.C + v_own), terms, limit)
+        r = fixed_point(k * cost, terms, limit)
         if r is None or r > limit:
             return None  # k-th job in the window would miss
         worst = max(worst, r - (k - 1) * task.T)
@@ -87,30 +107,40 @@ def _cert_busy_window(task, higher, budgets) -> int | None:
     return None
 
 
-def _cert_release_window(task, higher, v_own, bounds) -> int | None:
+def _cert_release_window(task, cost, terms) -> int | None:
     """Carry-in-aware single-job bound for task, or None if it fails.
 
-    bounds must hold proven completion bounds for every higher task.
+    terms hold (T_j, C_j, B_j) of the tasks above it, each B_j a proven
+    completion bound.
     """
-    if any(bounds.get(h.id) is None for h in higher):
-        return None
-    r = fixed_point(task.C + v_own, [(h.T, h.C, bounds[h.id]) for h in higher], task.D)
+    r = fixed_point(cost, terms, task.D)
     return None if r is None or r > task.D else r
 
 
-def _certify(ts: TaskSet, budgets: dict) -> dict | None:
-    """Check the whole vector; returns per-task completion bounds or None."""
-    by_prio = ts.by_priority()
-    bounds: dict[int, int] = {}
+def _certify(by_prio, budgets, scale, start=0, bounds=()) -> list | None:
+    """Completion bounds of every task under budgets, or None on a failure.
+
+    by_prio, budgets and bounds are in priority order, and scale is
+    `_utilization_scale(by_prio)`.  bounds[:start] must be the proven
+    bounds of the tasks above start under the same budgets[:start]; they
+    are kept, and only by_prio[start:] is certified.
+    """
+    hyper, weights = scale
+    out = list(bounds[:start])
+    load = 0
+    busy, release = [], []
     for i, task in enumerate(by_prio):
-        higher = by_prio[:i]
-        a = _cert_busy_window(task, higher, budgets)
-        b = _cert_release_window(task, higher, budgets[task.id], bounds)
-        candidates = [x for x in (a, b) if x is not None]
-        if not candidates:
-            return None
-        bounds[task.id] = min(candidates)
-    return bounds
+        cost = task.C + budgets[i]
+        load += cost * weights[i]
+        if i >= start:
+            a = _cert_busy_window(task, cost, busy, load, hyper)
+            b = _cert_release_window(task, cost, release)
+            if a is None and b is None:
+                return None
+            out.append(min(x for x in (a, b) if x is not None))
+        busy.append((task.T, cost, 0))
+        release.append((task.T, task.C, out[i]))
+    return out
 
 
 def compute_budgets(ts: TaskSet) -> InversionBudget:
@@ -124,25 +154,33 @@ def compute_budgets(ts: TaskSet) -> InversionBudget:
     """
     if response_time_analysis(ts).verdict != SCHEDULABLE:
         raise ValueError("task set is not RTA-schedulable; shuffling refused")
-    budgets = {t.id: 0 for t in ts}
-    bounds = _certify(ts, budgets)
+    by_prio = ts.by_priority()
+    scale = _utilization_scale(by_prio)
+    budgets = [0] * len(by_prio)
+    bounds = _certify(by_prio, budgets, scale)
     if bounds is None:  # cannot happen for RTA-schedulable sets
         raise AssertionError("zero-budget certificate failed on a schedulable set")
-    by_prio = ts.by_priority()
+    # Tasks still worth a raise: below the D - C cap (beyond it the job
+    # itself cannot fit by its deadline) and with no failed raise yet.
+    live = [t.C < t.D for t in by_prio]
     changed = True
     while changed:
         changed = False
-        for task in by_prio:
-            if budgets[task.id] >= task.D - task.C:
-                continue  # beyond this the job itself cannot fit by its deadline
-            budgets[task.id] += 1
-            trial = _certify(ts, budgets)
+        for k, task in enumerate(by_prio):
+            if not live[k]:
+                continue
+            budgets[k] += 1
+            trial = _certify(by_prio, budgets, scale, k, bounds)
             if trial is None:
-                budgets[task.id] -= 1
+                budgets[k] -= 1
+                live[k] = False  # every later vector is larger and fails too
             else:
                 bounds = trial
                 changed = True
-    return InversionBudget(per_task=budgets, completion_bounds=bounds)
+                live[k] = budgets[k] < task.D - task.C
+    granted = {t.id: v for t, v in zip(by_prio, budgets)}
+    return InversionBudget(per_task={t.id: granted[t.id] for t in ts},
+                           completion_bounds={t.id: b for t, b in zip(by_prio, bounds)})
 
 
 class ShuffleFP(SchedulingPolicy):

@@ -581,6 +581,45 @@ def test_cli_monitor_verdict_covers_the_escalated_placement(tmp_path, capsys):
     assert "fine placement" in capsys.readouterr().err
 
 
+
+def test_cli_analyze_prints_the_deadline_the_test_used(tmp_path, capsys):
+    # The failing report is the fine placement's, where the scan's
+    # deadline is half its declared period.
+    path = _write(tmp_path, ESCALATION_FAILS)
+    assert main(["analyze", path]) == 1
+    out = capsys.readouterr().out
+    assert "  task 1: response=7 deadline=8\n" in out
+    assert "  task 3: response=2 deadline=4\n" in out
+    block = analyze_scenario(parse_scenario(ESCALATION_FAILS))
+    assert block["responses"] == {"1": 7, "2": None, "3": 2}
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_cli_certifies_shuffle_budgets_once(tmp_path, capsys, monkeypatch,
+                                            command):
+    import schedlab.harness
+    import schedlab.shuffle
+
+    calls = []
+    original = schedlab.shuffle.compute_budgets
+
+    def counted(ts):
+        calls.append(ts)
+        return original(ts)
+
+    monkeypatch.setattr(schedlab.shuffle, "compute_budgets", counted)
+    monkeypatch.setattr(schedlab.harness, "compute_budgets", counted)
+    path = _write(tmp_path, SHUFFLE)
+    assert main([command, path, "--runs", "4"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, schedlab, schedlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
 @pytest.mark.parametrize("command", ["simulate", "report", "attack"])
 def test_cli_refuses_runs_past_the_slot_budget(tmp_path, capsys, command):
     path = _write(tmp_path, COPRIME)

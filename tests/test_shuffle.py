@@ -6,6 +6,7 @@ implementation existed; see the inline derivation notes.
 """
 
 import math
+import random
 
 import pytest
 
@@ -26,9 +27,12 @@ from schedlab.shuffle import (
     WITH_IDLE,
     InversionBudget,
     ShuffleFP,
+    _certify,
+    _utilization_scale,
     compute_budgets,
     schedule_entropy,
 )
+from schedlab.tasks import generate_taskset
 
 from reference import ref_fp_slots
 
@@ -101,6 +105,65 @@ def test_unschedulable_set_is_refused():
     ))
     with pytest.raises(ValueError, match="refused"):
         compute_budgets(ts)
+
+
+def _random_vectors(seed, count):
+    """(by_prio, V) pairs: generated sets, some with constrained deadlines,
+    and budgets drawn below each task's D - C cap."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            ts = generate_taskset(rng.randint(2, 6), rng.uniform(0.3, 0.9),
+                                  (5, 8, 10, 20, 25, 40), seed=rng.getrandbits(32),
+                                  tol=0.02)
+        except ValueError:
+            continue
+        if rng.random() < 0.5:
+            ts = TaskSet(tuple(Task(id=t.id, C=t.C, T=t.T, priority=t.priority,
+                                    D=rng.randint(max(t.C, t.T // 2), t.T))
+                               for t in ts))
+        by_prio = ts.by_priority()
+        v = [rng.randint(0, (t.D - t.C) // 3) for t in by_prio]
+        out.append((by_prio, v))
+    return out
+
+
+def _raised(v, j):
+    return [x + (i == j) for i, x in enumerate(v)]
+
+
+def test_certification_is_monotone_in_every_budget():
+    # compute_budgets stops raising a task once its raise fails; that is
+    # exact only if a failing vector makes every larger vector fail.
+    rejected = accepted = 0
+    for by_prio, v in _random_vectors(11, 300):
+        scale = _utilization_scale(by_prio)
+        base = _certify(by_prio, v, scale)
+        for j in range(len(by_prio)):
+            up = _certify(by_prio, _raised(v, j), scale)
+            if base is None:
+                assert up is None, (by_prio, v, j)
+            elif up is not None:
+                assert all(a <= b for a, b in zip(base, up)), (by_prio, v, j)
+        rejected += base is None
+        accepted += base is not None
+    assert rejected >= 30 and accepted >= 30
+
+
+def test_certifying_from_the_raised_task_keeps_the_higher_bounds():
+    checked = 0
+    for by_prio, v in _random_vectors(12, 300):
+        scale = _utilization_scale(by_prio)
+        bounds = _certify(by_prio, v, scale)
+        if bounds is None:
+            continue
+        for k in range(len(by_prio)):
+            w = _raised(v, k)
+            full = _certify(by_prio, w, scale)
+            assert _certify(by_prio, w, scale, k, bounds) == full, (by_prio, w, k)
+            checked += full is not None
+    assert checked >= 100
 
 
 def test_mode_and_guard_validation():
