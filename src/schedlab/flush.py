@@ -24,21 +24,27 @@ class SecurityPolicy:
 
     In total_order mode a flow from a higher level to a strictly lower one
     is forbidden (levels come from each task's security_level).  In
-    pairwise mode the explicit pairs (src, dst) are forbidden.  flush_cost
-    is the scrub length F in ticks; F = 0 models a free scrub, i.e. every
-    dispatch boundary is implicitly clean and no FLUSH slots appear.
+    pairwise mode the explicit pairs (src, dst) are forbidden, and only
+    that mode takes pairs.  flush_cost is the scrub length F, a whole
+    number of ticks; F = 0 models a free scrub, i.e. every dispatch
+    boundary is implicitly clean and no FLUSH slots appear.
     """
 
     mode: str = TOTAL_ORDER
     flush_cost: int = 1
-    pairs: frozenset = frozenset()  # only read in pairwise mode
+    pairs: frozenset = frozenset()
 
     def __post_init__(self):
         if self.mode not in (TOTAL_ORDER, PAIRWISE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        if self.pairs and self.mode != PAIRWISE:
+            raise ValueError("pair entries require mode = pairwise")
+        if not isinstance(self.flush_cost, int):
+            raise ValueError(
+                f"flush cost must be an integer, got {self.flush_cost!r}")
         if self.flush_cost < 0:
             raise ValueError("flush cost must be >= 0")
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
         for src, dst in self.pairs:
             if src == dst:
                 raise ValueError(f"forbidden flow ({src}, {dst}) names one task twice")

@@ -15,16 +15,9 @@ import dataclasses
 from fractions import Fraction
 
 from schedlab.analysis import AnalysisReport, rta_with_flush
-from schedlab.engine import (
-    FLUSH,
-    IDLE,
-    NonPreemptiveFP,
-    SchedulingPolicy,
-    VanillaFP,
-    simulate,
-)
-from schedlab.flush import FlushFP, count_violations
-from schedlab.monitor import MonitorPolicy, detection_latencies
+from schedlab.engine import FLUSH, IDLE, SchedulingPolicy, VanillaFP, simulate
+from schedlab.flush import count_violations
+from schedlab.monitor import detection_latencies
 from schedlab.phase_inference import Observation, infer_offsets
 from schedlab.cache_probe import classify_footprint, probe_rounds
 from schedlab.restart import (
@@ -33,10 +26,10 @@ from schedlab.restart import (
     optimize_period,
     periodic_analysis,
 )
-from schedlab.scenario import Scenario, ScenarioError
+from schedlab.scenario import POLICIES, Scenario, ScenarioError
 from schedlab.shuffle import (
+    GUARD_BUDGET,
     InversionBudget,
-    ShuffleFP,
     compute_budgets,
     schedule_entropy,
 )
@@ -55,26 +48,13 @@ def member_seed(master: int, index: int) -> int:
 
 def build_policy(sc: Scenario,
                  budgets: InversionBudget | None = None) -> SchedulingPolicy:
-    """Fresh policy object for one run of the scenario.
+    """Fresh policy object for one run of the scenario, by its POLICIES entry.
 
     A shuffle policy given budgets uses them instead of computing its own.
     """
-    if sc.policy == "vanilla":
-        return VanillaFP()
-    if sc.policy == "nonpreemptive":
-        return NonPreemptiveFP()
-    if sc.policy == "shuffle":
-        cfg = sc.shuffle
-        return ShuffleFP(mode=cfg.mode, guard=cfg.guard, budgets=budgets)
-    if sc.policy == "flush":
-        return FlushFP(sc.security)
-    if sc.policy == "monitor":
-        m = sc.monitor
-        base = FlushFP(sc.security) if sc.security is not None else VanillaFP()
-        return MonitorPolicy(m.scan_task, base=base,
-                             fine_priority=m.fine_priority,
-                             alert_ticks=m.alerts, escalate=m.escalate)
-    raise ValueError(f"unknown policy {sc.policy!r}")
+    if sc.policy not in POLICIES:
+        raise ValueError(f"unknown policy {sc.policy!r}")
+    return POLICIES[sc.policy].build(sc, budgets)
 
 
 def scenario_duration(sc: Scenario) -> int:
@@ -128,10 +108,12 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
         raise ValueError("runs must be >= 1")
     ts = sc.taskset
     duration = scenario_duration(sc)
-    _check_slot_budget(duration, runs)
+    # A flush scenario also runs every member unprotected, as its baseline.
+    flush = sc.policy == "flush"
+    _check_slot_budget(duration, 2 * runs if flush else runs)
     # One certification serves every run and the report's shuffle block.
     budgets = None
-    if sc.policy == "shuffle" and sc.shuffle.guard == "budget":
+    if sc.policy == "shuffle" and sc.shuffle.guard == GUARD_BUDGET:
         budgets = compute_budgets(ts)
     traces = [
         simulate(ts, duration, policy=build_policy(sc, budgets),
@@ -140,7 +122,6 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
     ]
     run_rows = []
     total_misses = 0
-    total_violations = 0
     share_sums = {t.id: 0.0 for t in ts}
     for i, tr in enumerate(traces):
         misses = len(tr.misses)
@@ -148,11 +129,6 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
         row = {"seed": member_seed(sc.seed, i), "misses": misses,
                "preemptions": sum(1 for e in tr.events if e.kind == "preempt"),
                "idle_share": tr.slots.count(IDLE) / duration}
-        if sc.policy == "flush":
-            v = count_violations(tr, ts, sc.security)
-            row["violations"] = v
-            row["flush_share"] = tr.slots.count(FLUSH) / duration
-            total_violations += v
         run_rows.append(row)
         for t in ts:
             share_sums[t.id] += tr.slots.count(t.id) / duration
@@ -176,10 +152,14 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
             "runs": run_rows,
         },
     }
-    if sc.policy == "flush":
-        report["simulation"]["total_violations"] = total_violations
+    if flush:
+        for row, tr in zip(run_rows, traces):
+            row["violations"] = count_violations(tr, ts, sc.security)
+            row["flush_share"] = tr.slots.count(FLUSH) / duration
         base = [simulate(ts, duration, policy=VanillaFP(),
                          seed=member_seed(sc.seed, i)) for i in range(runs)]
+        report["simulation"]["total_violations"] = sum(
+            row["violations"] for row in run_rows)
         report["simulation"]["unprotected_violations"] = sum(
             count_violations(b, ts, sc.security) for b in base
         )
@@ -294,8 +274,6 @@ def sweep(sc: Scenario, key: str, values) -> dict:
             raise ValueError("scenario has no [security] section to sweep")
         rows = []
         for v in values:
-            if v < 0:
-                raise ValueError("flush_cost must be >= 0")
             policy = dataclasses.replace(sc.security, flush_cost=v)
             rep = rta_with_flush(sc.taskset, policy)
             rows.append({

@@ -26,14 +26,23 @@ one of each parameter section.  Keys are `key = value`; a few keys repeat
 (alert, pair) or take several values (profile).  Errors carry the line
 number they were found on.  emit_scenario() writes a file that parses
 back to an equal Scenario.
+
+Two tables drive the format.  _SECTIONS maps each section to its config
+type and each key to the field it sets and its value parser; parsing and
+emitting both walk it, and a key left out takes the type's default (a
+field without one is a required key).  POLICIES maps each policy name to
+the section its policy reads and the factory that builds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
-from schedlab.flush import PAIRWISE, TOTAL_ORDER, SecurityPolicy
-from schedlab.shuffle import GUARD_BUDGET, GUARD_NONE, MODES, TASK_ONLY
+from schedlab.engine import NonPreemptiveFP, VanillaFP
+from schedlab.flush import PAIRWISE, TOTAL_ORDER, FlushFP, SecurityPolicy
+from schedlab.monitor import MonitorPolicy
+from schedlab.shuffle import GUARD_BUDGET, GUARD_NONE, MODES, TASK_ONLY, ShuffleFP
 from schedlab.tasks import (
     PERIODIC,
     SPORADIC,
@@ -42,8 +51,6 @@ from schedlab.tasks import (
     rate_monotonic,
     validate,
 )
-
-POLICIES = ("vanilla", "nonpreemptive", "shuffle", "flush", "monitor")
 
 
 class ScenarioError(ValueError):
@@ -101,21 +108,55 @@ class Scenario:
     cache: CacheConfig | None = None
 
 
-def _to_int(raw: str, line: int, key: str) -> int:
+class PolicySpec(NamedTuple):
+    """What a policy name stands for."""
+
+    section: str | None  # the section its factory reads
+    filled: bool  # a missing section takes its defaults; else it is refused
+    build: Callable  # (scenario, budgets or None) -> fresh SchedulingPolicy
+
+
+def _monitor(sc: Scenario, budgets) -> MonitorPolicy:
+    m = sc.monitor
+    base = FlushFP(sc.security) if sc.security is not None else VanillaFP()
+    return MonitorPolicy(m.scan_task, base=base, fine_priority=m.fine_priority,
+                         alert_ticks=m.alerts, escalate=m.escalate)
+
+
+POLICIES = {
+    "vanilla": PolicySpec(None, False, lambda sc, budgets: VanillaFP()),
+    "nonpreemptive": PolicySpec(None, False,
+                                lambda sc, budgets: NonPreemptiveFP()),
+    "shuffle": PolicySpec("shuffle", True, lambda sc, budgets: ShuffleFP(
+        mode=sc.shuffle.mode, guard=sc.shuffle.guard, budgets=budgets)),
+    "flush": PolicySpec("security", False,
+                        lambda sc, budgets: FlushFP(sc.security)),
+    "monitor": PolicySpec("monitor", False, _monitor),
+}
+
+
+# Value parsers: (raw, line, key, task_ids) -> value.  task_ids is None
+# while the top level and the tasks themselves are parsed.
+
+def _text(raw: str, line: int, key: str, task_ids) -> str:
+    return raw
+
+
+def _int(raw: str, line: int, key: str, task_ids) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ScenarioError(f"{key} expects an integer, got {raw!r}", line)
 
 
-def _to_float(raw: str, line: int, key: str) -> float:
+def _float(raw: str, line: int, key: str, task_ids) -> float:
     try:
         return float(raw)
     except ValueError:
         raise ScenarioError(f"{key} expects a number, got {raw!r}", line)
 
 
-def _to_bool(raw: str, line: int, key: str) -> bool:
+def _bool(raw: str, line: int, key: str, task_ids) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "1"):
         return True
@@ -124,26 +165,109 @@ def _to_bool(raw: str, line: int, key: str) -> bool:
     raise ScenarioError(f"{key} expects true or false, got {raw!r}", line)
 
 
-_TASK_KEYS = ("id", "C", "T", "D", "phase", "kind", "priority",
-              "security_level", "bcet")
-_SECTION_KEYS = {
-    "task": set(_TASK_KEYS),
-    "shuffle": {"mode", "guard"},
-    "security": {"mode", "flush_cost", "pair"},
-    "restart": {"period", "reboot", "compromise_rate", "detection_rate",
-                "weight"},
-    "monitor": {"scan_task", "fine_priority", "alert", "escalate"},
-    "cache": {"victim", "lines", "epsilon", "profile"},
+def _positive(raw: str, line: int, key: str, task_ids) -> int:
+    value = _int(raw, line, key, task_ids)
+    if value < 1:
+        raise ScenarioError(f"{key} must be >= 1", line)
+    return value
+
+
+def _ints(raw: str, line: int, key: str, task_ids) -> tuple:
+    return tuple(_int(p, line, key, task_ids) for p in raw.split())
+
+
+def _task(raw: str, line: int, key: str, task_ids) -> int:
+    tid = _int(raw, line, key, task_ids)
+    if tid not in task_ids:
+        raise ScenarioError(f"{key} references unknown task {tid}", line)
+    return tid
+
+
+def _task_pair(raw: str, line: int, key: str, task_ids) -> tuple:
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ScenarioError("pair expects two task ids", line)
+    return tuple(_task(p, line, key, task_ids) for p in parts)
+
+
+def _choice(options: tuple, message: str) -> Callable:
+    def parse(raw: str, line: int, key: str, task_ids) -> str:
+        if raw not in options:
+            raise ScenarioError(message, line)
+        return raw
+    return parse
+
+
+class _Key(NamedTuple):
+    field: str  # the config field the key sets
+    parse: Callable
+    many: bool = False  # the key repeats; the field holds all its values
+
+
+def _keys(parse: Callable, *names: str) -> dict:
+    return {name: _Key(name, parse) for name in names}
+
+
+def _section(cls, keys: dict) -> tuple:
+    """(cls, keys, required keys): those whose field has no default."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    return cls, keys, [k for k, spec in keys.items() if spec.field in required]
+
+
+_TOP = {
+    "name": _text,
+    "seed": _int,
+    "policy": _choice(tuple(POLICIES),
+                      f"policy must be one of {tuple(POLICIES)}"),
+    "duration": _positive,
+    "hyperperiods": _positive,
 }
-_REPEATABLE = {("security", "pair"), ("monitor", "alert")}
-_TOP_KEYS = {"name", "seed", "policy", "duration", "hyperperiods"}
+# Each section's config type and keys, in the order emit_scenario writes
+# them; the sections other than [task] are Scenario fields of the same name.
+_SECTIONS = {
+    "task": _section(Task, {
+        **_keys(_int, "id", "C", "T", "D", "phase"),
+        "kind": _Key("kind", _choice((PERIODIC, SPORADIC),
+                                     f"kind must be {PERIODIC} or {SPORADIC}")),
+        **_keys(_int, "priority", "security_level", "bcet"),
+    }),
+    "shuffle": _section(ShuffleConfig, {
+        "mode": _Key("mode", _choice(MODES,
+                                     f"shuffle mode must be one of {MODES}")),
+        "guard": _Key("guard", _choice((GUARD_BUDGET, GUARD_NONE),
+                                       "guard must be budget or none")),
+    }),
+    "security": _section(SecurityPolicy, {
+        "mode": _Key("mode", _choice((TOTAL_ORDER, PAIRWISE),
+                                     f"security mode must be {TOTAL_ORDER} or"
+                                     f" {PAIRWISE}")),
+        "flush_cost": _Key("flush_cost", _int),
+        "pair": _Key("pairs", _task_pair, many=True),
+    }),
+    "restart": _section(RestartConfig, _keys(_float, "period", "reboot",
+                                             "compromise_rate",
+                                             "detection_rate", "weight")),
+    "monitor": _section(MonitorConfig, {
+        "scan_task": _Key("scan_task", _task),
+        "fine_priority": _Key("fine_priority", _int),
+        "alert": _Key("alerts", _int, many=True),
+        "escalate": _Key("escalate", _bool),
+    }),
+    "cache": _section(CacheConfig, {
+        "victim": _Key("victim", _task),
+        "lines": _Key("lines", _int),
+        "epsilon": _Key("epsilon", _float),
+        "profile": _Key("profiles", _ints),
+    }),
+}
 
 
 def _scan(text: str):
     """Split into (top_items, sections); keys keep their line numbers."""
     top: dict[str, tuple] = {}
-    sections: list[dict] = []
-    current: dict | None = None
+    sections: list[tuple] = []
+    current: tuple | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -152,9 +276,9 @@ def _scan(text: str):
             if not line.endswith("]"):
                 raise ScenarioError("unterminated section header", lineno)
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _SECTIONS:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
-            current = {"name": name, "line": lineno, "items": {}}
+            current = (name, lineno, {})
             sections.append(current)
             continue
         if "=" not in line:
@@ -164,179 +288,54 @@ def _scan(text: str):
         if not val:
             raise ScenarioError(f"empty value for {key!r}", lineno)
         if current is None:
-            if key not in _TOP_KEYS:
+            if key not in _TOP:
                 raise ScenarioError(f"unknown top-level key {key!r}", lineno)
             if key in top:
                 raise ScenarioError(f"duplicate key {key!r}", lineno)
             top[key] = (val, lineno)
         else:
-            sec = current["name"]
-            if key not in _SECTION_KEYS[sec]:
+            sec, _, items = current
+            spec = _SECTIONS[sec][1].get(key)
+            if spec is None:
                 raise ScenarioError(f"unknown key {key!r} in [{sec}]", lineno)
-            items = current["items"]
-            if key in items and (sec, key) not in _REPEATABLE:
+            if key in items and not spec.many:
                 raise ScenarioError(f"duplicate key {key!r} in [{sec}]", lineno)
             items.setdefault(key, []).append((val, lineno))
     return top, sections
 
 
-def _one(items: dict, key: str):
-    return items[key][0] if key in items else (None, 0)
-
-
-def _build_task(items: dict, header_line: int) -> Task:
-    for required in ("id", "C", "T"):
-        if required not in items:
-            raise ScenarioError(f"[task] missing required key {required!r}",
+def _build(name: str, header_line: int, items: dict, task_ids):
+    """The config one section describes; absent keys keep the defaults."""
+    cls, keys, required = _SECTIONS[name]
+    for key in required:
+        if key not in items:
+            raise ScenarioError(f"[{name}] missing required key {key!r}",
                                 header_line)
     kw = {}
-    for key in ("id", "C", "T", "D", "phase", "priority", "security_level",
-                "bcet"):
-        raw, line = _one(items, key)
-        if raw is not None:
-            kw[key] = _to_int(raw, line, key)
-    raw, line = _one(items, "kind")
-    if raw is not None:
-        if raw not in (PERIODIC, SPORADIC):
-            raise ScenarioError(f"kind must be {PERIODIC} or {SPORADIC}", line)
-        kw["kind"] = raw
-    return Task(**kw)
-
-
-def _build_security(items: dict, header_line: int,
-                    task_ids: set) -> SecurityPolicy:
-    raw, line = _one(items, "mode")
-    mode = raw if raw is not None else TOTAL_ORDER
-    if mode not in (TOTAL_ORDER, PAIRWISE):
-        raise ScenarioError(f"security mode must be {TOTAL_ORDER} or "
-                            f"{PAIRWISE}", line)
-    raw, line = _one(items, "flush_cost")
-    cost = _to_int(raw, line, "flush_cost") if raw is not None else 1
-    pairs = []
-    for raw, line in items.get("pair", []):
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ScenarioError("pair expects two task ids", line)
-        src, dst = (_to_int(p, line, "pair") for p in parts)
-        for tid in (src, dst):
-            if tid not in task_ids:
-                raise ScenarioError(f"pair references unknown task {tid}", line)
-        pairs.append((src, dst))
-    if pairs and mode != PAIRWISE:
-        raise ScenarioError("pair entries require mode = pairwise",
-                            header_line)
+    for key, found in items.items():
+        spec = keys[key]
+        values = [spec.parse(raw, line, key, task_ids) for raw, line in found]
+        kw[spec.field] = tuple(values) if spec.many else values[0]
     try:
-        return SecurityPolicy(mode=mode, flush_cost=cost,
-                              pairs=frozenset(pairs))
+        return cls(**kw)
     except ValueError as exc:
         raise ScenarioError(str(exc), header_line) from None
 
 
-def _build_sections(sections, task_ids):
-    built = {}
-    for sec in sections:
-        name, line, items = sec["name"], sec["line"], sec["items"]
-        if name == "task":
-            continue
-        if name in built:
-            raise ScenarioError(f"duplicate section [{name}]", line)
-        if name == "shuffle":
-            mode_raw, mline = _one(items, "mode")
-            mode = mode_raw if mode_raw is not None else TASK_ONLY
-            if mode not in MODES:
-                raise ScenarioError(f"shuffle mode must be one of {MODES}",
-                                    mline)
-            guard_raw, gline = _one(items, "guard")
-            guard = guard_raw if guard_raw is not None else GUARD_BUDGET
-            if guard not in (GUARD_BUDGET, GUARD_NONE):
-                raise ScenarioError("guard must be budget or none", gline)
-            built[name] = ShuffleConfig(mode=mode, guard=guard)
-        elif name == "security":
-            built[name] = _build_security(items, line, task_ids)
-        elif name == "restart":
-            for required in ("period", "reboot", "compromise_rate"):
-                if required not in items:
-                    raise ScenarioError(
-                        f"[restart] missing required key {required!r}", line)
-            vals = {}
-            for key in ("period", "reboot", "compromise_rate",
-                        "detection_rate", "weight"):
-                raw, kline = _one(items, key)
-                if raw is not None:
-                    vals[key] = _to_float(raw, kline, key)
-            built[name] = RestartConfig(**vals)
-        elif name == "monitor":
-            raw, kline = _one(items, "scan_task")
-            if raw is None:
-                raise ScenarioError("[monitor] missing required key "
-                                    "'scan_task'", line)
-            scan = _to_int(raw, kline, "scan_task")
-            if scan not in task_ids:
-                raise ScenarioError(f"scan_task references unknown task "
-                                    f"{scan}", kline)
-            raw, kline = _one(items, "fine_priority")
-            fine = _to_int(raw, kline, "fine_priority") if raw is not None else 0
-            alerts = tuple(
-                _to_int(raw, aline, "alert")
-                for raw, aline in items.get("alert", [])
-            )
-            raw, kline = _one(items, "escalate")
-            esc = _to_bool(raw, kline, "escalate") if raw is not None else True
-            built[name] = MonitorConfig(scan_task=scan, fine_priority=fine,
-                                        alerts=alerts, escalate=esc)
-        elif name == "cache":
-            raw, kline = _one(items, "victim")
-            if raw is None:
-                raise ScenarioError("[cache] missing required key 'victim'",
-                                    line)
-            victim = _to_int(raw, kline, "victim")
-            if victim not in task_ids:
-                raise ScenarioError(f"victim references unknown task {victim}",
-                                    kline)
-            raw, kline = _one(items, "lines")
-            lines = _to_int(raw, kline, "lines") if raw is not None else 64
-            raw, kline = _one(items, "epsilon")
-            eps = _to_float(raw, kline, "epsilon") if raw is not None else 0.0
-            raw, kline = _one(items, "profile")
-            if raw is not None:
-                profiles = tuple(_to_int(p, kline, "profile")
-                                 for p in raw.split())
-            else:
-                profiles = (8, 48)
-            built[name] = CacheConfig(victim=victim, lines=lines, epsilon=eps,
-                                      profiles=profiles)
-    return built
-
-
 def parse_scenario(text: str) -> Scenario:
     top, sections = _scan(text)
+    kw = {key: _TOP[key](raw, line, key, None)
+          for key, (raw, line) in top.items()}
+    if "duration" in kw:
+        if "hyperperiods" in kw:
+            raise ScenarioError("give either duration or hyperperiods, not both",
+                                top["hyperperiods"][1])
+        kw["hyperperiods"] = None
+    name = kw.pop("name", "scenario")
 
-    raw, line = top.get("name", (None, 0))
-    name = raw if raw is not None else "scenario"
-    raw, line = top.get("seed", (None, 0))
-    seed = _to_int(raw, line, "seed") if raw is not None else 0
-    raw, line = top.get("policy", (None, 0))
-    policy = raw if raw is not None else "vanilla"
-    if policy not in POLICIES:
-        raise ScenarioError(f"policy must be one of {POLICIES}", line)
-    raw, dur_line = top.get("duration", (None, 0))
-    duration = _to_int(raw, dur_line, "duration") if raw is not None else None
-    raw, hp_line = top.get("hyperperiods", (None, 0))
-    hyperperiods = _to_int(raw, hp_line, "hyperperiods") if raw is not None else None
-    if duration is not None and hyperperiods is not None:
-        raise ScenarioError("give either duration or hyperperiods, not both",
-                            hp_line)
-    if duration is None and hyperperiods is None:
-        hyperperiods = 1
-    for label, value, vline in (("duration", duration, dur_line),
-                                ("hyperperiods", hyperperiods, hp_line)):
-        if value is not None and value < 1:
-            raise ScenarioError(f"{label} must be >= 1", vline)
-
-    task_sections = [s for s in sections if s["name"] == "task"]
-    if not task_sections:
+    tasks = [_build(*sec, None) for sec in sections if sec[0] == "task"]
+    if not tasks:
         raise ScenarioError("a scenario needs at least one [task] section")
-    tasks = [_build_task(s["items"], s["line"]) for s in task_sections]
     with_prio = [t for t in tasks if t.priority is not None]
     if with_prio and len(with_prio) != len(tasks):
         raise ScenarioError(
@@ -349,28 +348,22 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("; ".join(problems))
 
     task_ids = {t.id for t in ts}
-    built = _build_sections(sections, task_ids)
+    built = {}
+    for sec, line, items in sections:
+        if sec == "task":
+            continue
+        if sec in built:
+            raise ScenarioError(f"duplicate section [{sec}]", line)
+        built[sec] = _build(sec, line, items, task_ids)
 
-    if policy == "flush" and "security" not in built:
-        raise ScenarioError("policy flush needs a [security] section")
-    if policy == "monitor" and "monitor" not in built:
-        raise ScenarioError("policy monitor needs a [monitor] section")
-    if policy == "shuffle" and "shuffle" not in built:
-        built["shuffle"] = ShuffleConfig()
-
-    return Scenario(
-        name=name,
-        taskset=ts,
-        seed=seed,
-        policy=policy,
-        duration=duration,
-        hyperperiods=hyperperiods,
-        shuffle=built.get("shuffle"),
-        security=built.get("security"),
-        restart=built.get("restart"),
-        monitor=built.get("monitor"),
-        cache=built.get("cache"),
-    )
+    sc = Scenario(name=name, taskset=ts, **kw, **built)
+    spec = POLICIES[sc.policy]
+    if spec.section is not None and spec.section not in built:
+        if not spec.filled:
+            raise ScenarioError(
+                f"policy {sc.policy} needs a [{spec.section}] section")
+        sc = replace(sc, **{spec.section: _SECTIONS[spec.section][0]()})
+    return sc
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -378,8 +371,25 @@ def parse_scenario_file(path) -> Scenario:
         return parse_scenario(fh.read())
 
 
-def _fmt(value: float) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _show(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return str(value)
+
+
+def _emit(name: str, config) -> list[str]:
+    out = ["", f"[{name}]"]
+    for key, spec in _SECTIONS[name][1].items():
+        value = getattr(config, spec.field)
+        if spec.many:  # a set of pairs is written sorted, alerts in order
+            if isinstance(value, frozenset):
+                value = sorted(value)
+            out += [f"{key} = {_show(v)}" for v in value]
+        elif value is not None:
+            out.append(f"{key} = {_show(value)}")
+    return out
 
 
 def emit_scenario(sc: Scenario) -> str:
@@ -390,38 +400,8 @@ def emit_scenario(sc: Scenario) -> str:
     else:
         out.append(f"hyperperiods = {sc.hyperperiods}")
     for t in sorted(sc.taskset, key=lambda t: t.id):
-        out += ["", "[task]", f"id = {t.id}", f"C = {t.C}", f"T = {t.T}",
-                f"D = {t.D}", f"phase = {t.phase}", f"kind = {t.kind}",
-                f"priority = {t.priority}",
-                f"security_level = {t.security_level}"]
-        if t.bcet is not None:
-            out.append(f"bcet = {t.bcet}")
-    if sc.shuffle is not None:
-        out += ["", "[shuffle]", f"mode = {sc.shuffle.mode}",
-                f"guard = {sc.shuffle.guard}"]
-    if sc.security is not None:
-        out += ["", "[security]", f"mode = {sc.security.mode}",
-                f"flush_cost = {sc.security.flush_cost}"]
-        for src, dst in sorted(sc.security.pairs):
-            out.append(f"pair = {src} {dst}")
-    if sc.restart is not None:
-        r = sc.restart
-        out += ["", "[restart]", f"period = {_fmt(r.period)}",
-                f"reboot = {_fmt(r.reboot)}",
-                f"compromise_rate = {_fmt(r.compromise_rate)}"]
-        if r.detection_rate is not None:
-            out.append(f"detection_rate = {_fmt(r.detection_rate)}")
-        out.append(f"weight = {_fmt(r.weight)}")
-    if sc.monitor is not None:
-        m = sc.monitor
-        out += ["", "[monitor]", f"scan_task = {m.scan_task}",
-                f"fine_priority = {m.fine_priority}"]
-        for alert in m.alerts:
-            out.append(f"alert = {alert}")
-        out.append(f"escalate = {'true' if m.escalate else 'false'}")
-    if sc.cache is not None:
-        c = sc.cache
-        out += ["", "[cache]", f"victim = {c.victim}", f"lines = {c.lines}",
-                f"epsilon = {_fmt(c.epsilon)}",
-                "profile = " + " ".join(str(p) for p in c.profiles)]
+        out += _emit("task", t)
+    for name in _SECTIONS:
+        if name != "task" and getattr(sc, name) is not None:
+            out += _emit(name, getattr(sc, name))
     return "\n".join(out) + "\n"

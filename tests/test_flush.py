@@ -46,6 +46,16 @@ class TestNeedsFlush:
         with pytest.raises(ValueError, match="names one task twice"):
             SecurityPolicy(mode="pairwise", pairs={(2, 2)})
 
+    def test_pairs_require_pairwise_mode(self):
+        with pytest.raises(ValueError, match="require mode = pairwise"):
+            SecurityPolicy(mode="total_order", pairs={(1, 2)})
+        assert SecurityPolicy(mode="total_order", pairs=()).pairs == frozenset()
+
+    @pytest.mark.parametrize("cost", [0.5, 1.5, 1.0, "1"])
+    def test_flush_cost_must_be_an_integer(self, cost):
+        with pytest.raises(ValueError, match="flush cost must be an integer"):
+            SecurityPolicy(mode="total_order", flush_cost=cost)
+
     def test_total_order_compiles_to_pairwise(self):
         ts = leveled((1, 1, 9, 1, 3), (2, 1, 9, 2, 2), (3, 1, 9, 3, 2), (4, 1, 9, 4, 1))
         total = SecurityPolicy(mode="total_order", flush_cost=2)

@@ -22,8 +22,8 @@ from schedlab.harness import (
 )
 from schedlab.monitor import MonitorPolicy
 from schedlab.restart import optimize_period
-from schedlab.scenario import Scenario, ScenarioError, parse_scenario
-from schedlab.shuffle import ShuffleFP
+from schedlab.scenario import POLICIES, Scenario, ScenarioError, parse_scenario
+from schedlab.shuffle import ShuffleFP, compute_budgets
 from schedlab.tasks import SPORADIC, Task, TaskSet
 
 VANILLA = """
@@ -228,6 +228,40 @@ def test_build_policy_types():
     mon = build_policy(parse_scenario(MONITOR))
     assert isinstance(mon, MonitorPolicy)
     assert isinstance(mon.base, VanillaFP)
+
+
+def test_every_policy_name_builds_from_the_table():
+    texts = {
+        "vanilla": VANILLA,
+        "nonpreemptive": VANILLA.replace("policy = vanilla",
+                                         "policy = nonpreemptive"),
+        "shuffle": SHUFFLE,
+        "flush": FLUSH,
+        "monitor": MONITOR,
+    }
+    assert set(texts) == set(POLICIES)
+    for name, text in texts.items():
+        sc = parse_scenario(text)
+        assert sc.policy == name
+        policy = build_policy(sc)
+        assert build_policy(sc) is not policy  # a fresh object per run
+        assert type(policy) is type(POLICIES[name].build(sc, None))
+
+
+def test_build_policy_refuses_an_unknown_name():
+    sc = Scenario(name="x", taskset=parse_scenario(VANILLA).taskset,
+                  policy="fifo")
+    with pytest.raises(ValueError, match="unknown policy 'fifo'"):
+        build_policy(sc)
+
+
+def test_shuffle_policy_takes_the_given_budgets():
+    sc = parse_scenario(SHUFFLE)
+    budgets = compute_budgets(sc.taskset)
+    policy = build_policy(sc, budgets)
+    assert (policy.mode, policy.guard) == (sc.shuffle.mode, sc.shuffle.guard)
+    policy.attach(sc.taskset, None)
+    assert policy.budget is budgets
 
 
 def test_monitor_policy_wraps_flush_base():
@@ -442,7 +476,24 @@ def test_sweep_rejects_empty_and_unknown():
         sweep(parse_scenario(VANILLA), "security.flush_cost", [1])
 
 
+def test_sweep_rejects_a_fractional_flush_cost():
+    sc = parse_scenario(FLUSH)
+    with pytest.raises(ValueError, match="flush cost must be an integer"):
+        sweep(sc, "security.flush_cost", [1, 1.5])
+    with pytest.raises(ValueError, match="flush cost must be >= 0"):
+        sweep(sc, "security.flush_cost", [-1])
+
+
 # -------------------------------------------------------------------- cli
+
+
+def test_cli_sweep_fractional_flush_cost_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, FLUSH)
+    assert main(["sweep", path, "--key", "security.flush_cost",
+                 "--values", "0.5,1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "flush cost must be an integer, got 0.5" in err
 
 
 def test_parse_values_forms():
@@ -634,6 +685,24 @@ def test_slot_budget_counts_every_run():
     sc = parse_scenario(VANILLA.replace("seed = 0", f"seed = 0\nduration = {half}"))
     with pytest.raises(ScenarioError, match=f"{half} ticks x 2 runs"):
         run_scenario(sc, runs=2)
+
+
+def test_slot_budget_counts_the_flush_baseline_runs(tmp_path, capsys,
+                                                   monkeypatch):
+    # Each flush run is simulated twice, protected and as the unprotected
+    # baseline, so one run of just over half the budget does not fit.
+    import schedlab.harness
+
+    def no_ticks(*args, **kwargs):
+        raise AssertionError("simulated before the slot budget was checked")
+
+    monkeypatch.setattr(schedlab.harness, "simulate", no_ticks)
+    half = MAX_SIMULATED_TICKS // 2 + 1
+    text = FLUSH.replace("hyperperiods = 2", f"duration = {half}")
+    with pytest.raises(ScenarioError, match=f"{half} ticks x 2 runs"):
+        run_scenario(parse_scenario(text), runs=1)
+    assert main(["simulate", _write(tmp_path, text)]) == 2
+    assert "simulated ticks" in capsys.readouterr().err
 
 
 def test_analyze_reports_the_policys_own_method():

@@ -537,3 +537,25 @@ def test_frozen_emitted_text():
     assert emit_scenario(parse_scenario(FULL)) == EMITTED_FULL
     assert emit_scenario(built_scenario()) == EMITTED_BUILT
     assert parse_scenario(EMITTED_BUILT) == built_scenario()
+
+
+def test_absent_keys_take_the_config_types_defaults():
+    text = MINIMAL + """
+[shuffle]
+[security]
+[restart]
+period = 60
+reboot = 1
+compromise_rate = 0.1
+[monitor]
+scan_task = 2
+[cache]
+victim = 1
+"""
+    sc = parse_scenario(text)
+    assert sc.shuffle == ShuffleConfig()
+    assert sc.security == SecurityPolicy()
+    assert sc.restart == RestartConfig(period=60, reboot=1, compromise_rate=0.1)
+    assert sc.monitor == MonitorConfig(scan_task=2)
+    assert sc.cache == CacheConfig(victim=1)
+    assert sc.taskset.by_id(1) == Task(id=1, C=1, T=4, priority=1)
