@@ -31,18 +31,25 @@ Two tables drive the format.  _SECTIONS maps each section to its config
 type and each key to the field it sets and its value parser; parsing and
 emitting both walk it, and a key left out takes the type's default (a
 field without one is a required key).  POLICIES maps each policy name to
-the section its policy reads and the factory that builds it.
+the section its policy reads and the factory that builds it; a Scenario,
+parsed or constructed, fills that section with its defaults or is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple
 
 from schedlab.engine import NonPreemptiveFP, VanillaFP
 from schedlab.flush import PAIRWISE, TOTAL_ORDER, FlushFP, SecurityPolicy
 from schedlab.monitor import MonitorPolicy
-from schedlab.shuffle import GUARD_BUDGET, GUARD_NONE, MODES, TASK_ONLY, ShuffleFP
+from schedlab.shuffle import (
+    GUARD_BUDGET,
+    GUARD_NONE,
+    MODES,
+    TASK_ONLY,
+    ShuffleFP,
+)
 from schedlab.tasks import (
     PERIODIC,
     SPORADIC,
@@ -106,6 +113,17 @@ class Scenario:
     restart: RestartConfig | None = None
     monitor: MonitorConfig | None = None
     cache: CacheConfig | None = None
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ScenarioError(f"policy must be one of {tuple(POLICIES)}")
+        spec = POLICIES[self.policy]
+        if spec.section is None or getattr(self, spec.section) is not None:
+            return
+        if not spec.filled:
+            raise ScenarioError(
+                f"policy {self.policy} needs a [{spec.section}] section")
+        object.__setattr__(self, spec.section, _SECTIONS[spec.section][0]())
 
 
 class PolicySpec(NamedTuple):
@@ -228,15 +246,16 @@ _TOP = {
 _SECTIONS = {
     "task": _section(Task, {
         **_keys(_int, "id", "C", "T", "D", "phase"),
-        "kind": _Key("kind", _choice((PERIODIC, SPORADIC),
-                                     f"kind must be {PERIODIC} or {SPORADIC}")),
+        "kind": _Key("kind", _choice(
+            (PERIODIC, SPORADIC), f"kind must be {PERIODIC} or {SPORADIC}")),
         **_keys(_int, "priority", "security_level", "bcet"),
     }),
     "shuffle": _section(ShuffleConfig, {
         "mode": _Key("mode", _choice(MODES,
                                      f"shuffle mode must be one of {MODES}")),
-        "guard": _Key("guard", _choice((GUARD_BUDGET, GUARD_NONE),
-                                       "guard must be budget or none")),
+        "guard": _Key("guard", _choice(
+            (GUARD_BUDGET, GUARD_NONE),
+            f"guard must be {GUARD_BUDGET} or {GUARD_NONE}")),
     }),
     "security": _section(SecurityPolicy, {
         "mode": _Key("mode", _choice((TOTAL_ORDER, PAIRWISE),
@@ -328,8 +347,9 @@ def parse_scenario(text: str) -> Scenario:
           for key, (raw, line) in top.items()}
     if "duration" in kw:
         if "hyperperiods" in kw:
-            raise ScenarioError("give either duration or hyperperiods, not both",
-                                top["hyperperiods"][1])
+            raise ScenarioError(
+                "give either duration or hyperperiods, not both",
+                top["hyperperiods"][1])
         kw["hyperperiods"] = None
     name = kw.pop("name", "scenario")
 
@@ -356,14 +376,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"duplicate section [{sec}]", line)
         built[sec] = _build(sec, line, items, task_ids)
 
-    sc = Scenario(name=name, taskset=ts, **kw, **built)
-    spec = POLICIES[sc.policy]
-    if spec.section is not None and spec.section not in built:
-        if not spec.filled:
-            raise ScenarioError(
-                f"policy {sc.policy} needs a [{spec.section}] section")
-        sc = replace(sc, **{spec.section: _SECTIONS[spec.section][0]()})
-    return sc
+    return Scenario(name=name, taskset=ts, **kw, **built)
 
 
 def parse_scenario_file(path) -> Scenario:

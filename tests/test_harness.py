@@ -22,8 +22,14 @@ from schedlab.harness import (
 )
 from schedlab.monitor import MonitorPolicy
 from schedlab.restart import optimize_period
-from schedlab.scenario import POLICIES, Scenario, ScenarioError, parse_scenario
-from schedlab.shuffle import ShuffleFP, compute_budgets
+from schedlab.scenario import (
+    POLICIES,
+    Scenario,
+    ScenarioError,
+    ShuffleConfig,
+    parse_scenario,
+)
+from schedlab.shuffle import ShuffleFP
 from schedlab.tasks import SPORADIC, Task, TaskSet
 
 VANILLA = """
@@ -230,7 +236,7 @@ def test_build_policy_types():
     assert isinstance(mon.base, VanillaFP)
 
 
-def test_every_policy_name_builds_from_the_table():
+def test_every_policy_name_builds_a_fresh_policy():
     texts = {
         "vanilla": VANILLA,
         "nonpreemptive": VANILLA.replace("policy = vanilla",
@@ -243,25 +249,18 @@ def test_every_policy_name_builds_from_the_table():
     for name, text in texts.items():
         sc = parse_scenario(text)
         assert sc.policy == name
-        policy = build_policy(sc)
-        assert build_policy(sc) is not policy  # a fresh object per run
-        assert type(policy) is type(POLICIES[name].build(sc, None))
+        assert build_policy(sc) is not build_policy(sc)  # runs share no state
 
 
-def test_build_policy_refuses_an_unknown_name():
-    sc = Scenario(name="x", taskset=parse_scenario(VANILLA).taskset,
-                  policy="fifo")
-    with pytest.raises(ValueError, match="unknown policy 'fifo'"):
-        build_policy(sc)
-
-
-def test_shuffle_policy_takes_the_given_budgets():
-    sc = parse_scenario(SHUFFLE)
-    budgets = compute_budgets(sc.taskset)
-    policy = build_policy(sc, budgets)
-    assert (policy.mode, policy.guard) == (sc.shuffle.mode, sc.shuffle.guard)
-    policy.attach(sc.taskset, None)
-    assert policy.budget is budgets
+def test_constructed_scenario_follows_the_policy_table():
+    ts = parse_scenario(VANILLA).taskset
+    with pytest.raises(ScenarioError, match="policy must be one of"):
+        Scenario(name="x", taskset=ts, policy="fifo")
+    with pytest.raises(ScenarioError, match=r"needs a \[security\] section"):
+        Scenario(name="x", taskset=ts, policy="flush")
+    sc = Scenario(name="x", taskset=ts, policy="shuffle")
+    assert sc.shuffle == ShuffleConfig()
+    assert isinstance(build_policy(sc), ShuffleFP)
 
 
 def test_monitor_policy_wraps_flush_base():
