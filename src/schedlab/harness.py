@@ -18,7 +18,7 @@ from schedlab.analysis import AnalysisReport, rta_with_flush
 from schedlab.engine import FLUSH, IDLE, SchedulingPolicy, VanillaFP, simulate
 from schedlab.flush import count_violations
 from schedlab.monitor import detection_latencies
-from schedlab.phase_inference import Observation, infer_offsets
+from schedlab.phase_inference import Observation, infer_offsets, require_inferable
 from schedlab.cache_probe import classify_footprint, probe_rounds
 from schedlab.restart import (
     detection_analysis,
@@ -38,7 +38,8 @@ from schedlab.tasks import PERIODIC, TaskSet, hyperperiod, utilization
 SEED_STRIDE = 1_000_003  # spreads ensemble members across seed space
 # Most ticks (duration x runs) one command may simulate.  A scenario past it,
 # such as co-prime periods with a hyperperiod near 10^9, is refused before
-# the first tick rather than left to run for hours.
+# the first tick rather than left to run for hours.  The count is complete:
+# attack simulates its window once, and its offset search simulates nothing.
 MAX_SIMULATED_TICKS = 10_000_000
 
 
@@ -220,6 +221,7 @@ def run_attack(sc: Scenario, window: int | None = None) -> dict:
     prime/probe rounds against its victim task.
     """
     ts = sc.taskset
+    require_inferable(ts)  # refused before the window is simulated
     duration = window if window is not None else scenario_duration(sc)
     _check_slot_budget(duration, 1)
     victim_trace = simulate(ts, duration, policy=build_policy(sc),

@@ -13,8 +13,18 @@ claim the earliest free ticks at or after max(release, previous job's
 finish), where ticks past the window count as free.  Two prunes keep the
 walk small: a partial schedule that occupies an observed-idle tick can
 never become consistent, and the unassigned tasks' maximum demand must be
-able to cover the still-unexplained busy ticks.  Surviving leaves are
-re-checked against the full simulator before being reported.
+able to cover the still-unexplained busy ticks.
+
+A leaf whose occupancy equals the observed busy mask is reported as a
+candidate without running the simulator again.  That is exact for
+preemptive fixed priority when tasks are periodic, every job runs for
+exactly C and priorities are unique: the engine orders ready jobs by
+(priority, release, job id) and keeps a late job running, so the task
+being added takes exactly the ticks its higher-priority tasks leave free,
+job by job in release order, and the ticks it takes past the window
+cannot change anything inside it.  Inputs outside those three conditions
+are refused up front.  brute_force_offsets stays simulator-based, as the
+independent oracle the search is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from schedlab.engine import VanillaFP, extract_busy_intervals, simulate
-from schedlab.tasks import PERIODIC, TaskSet, hyperperiod
+from schedlab.tasks import PERIODIC, TaskSet, hyperperiod, require_valid
 
 EXACT = "exact"
 AMBIGUOUS = "ambiguous"
@@ -77,14 +87,26 @@ class InferenceResult:
     low_confidence: bool   # window shorter than the hyperperiod
     explored: int          # partial assignments examined
 
-    def as_dicts(self):
-        return tuple(dict(zip(self.task_ids, c)) for c in self.candidates)
-
 
 def _require_periodic(ts: TaskSet):
     bad = [t.id for t in ts if t.kind != PERIODIC]
     if bad:
         raise ValueError(f"offset inference needs periodic tasks; sporadic: {bad}")
+
+
+def require_inferable(ts: TaskSet) -> None:
+    """Refuse a set the search cannot answer exactly (see the module doc).
+
+    The set must be valid (unique priorities among others), periodic, and
+    run every job for exactly C (bcet unset or equal to C).
+    """
+    require_valid(ts)
+    _require_periodic(ts)
+    variable = [t.id for t in ts if not t.fixed_execution]
+    if variable:
+        raise ValueError(
+            f"offset inference needs a fixed execution time; bcet < C: {variable}"
+        )
 
 
 def _place(occ: int, busy: int, window: int, C: int, T: int, offset: int):
@@ -124,9 +146,9 @@ def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
     The task set supplies ids, costs, periods, and priorities; any offsets
     it carries are ignored.  The window must cover at least one period of
     every task, otherwise a task could hide entirely and the answer would
-    be vacuous.
+    be vacuous.  Sets that require_inferable refuses raise ValueError.
     """
-    _require_periodic(ts)
+    require_inferable(ts)
     longest = max(t.T for t in ts)
     if obs.window < longest:
         raise ValueError(
@@ -162,16 +184,12 @@ def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
 
     ids_sorted = tuple(sorted(t.id for t in ts))
     pos = {t.id: i for i, t in enumerate(by_prio)}
-    verified = []
-    for cand in found:
-        vec = tuple(cand[pos[i]] for i in ids_sorted)
-        if _replay_matches(ts, ids_sorted, vec, obs):
-            verified.append(vec)
-    verified.sort()
-    status = FAILED if not verified else (EXACT if len(verified) == 1 else AMBIGUOUS)
+    candidates = sorted(tuple(c[pos[i]] for i in ids_sorted) for c in found)
+    status = (FAILED if not candidates
+              else EXACT if len(candidates) == 1 else AMBIGUOUS)
     return InferenceResult(
         task_ids=ids_sorted,
-        candidates=tuple(verified),
+        candidates=tuple(candidates),
         status=status,
         low_confidence=_shorter_than_hyperperiod(ts, obs.window),
         explored=explored,

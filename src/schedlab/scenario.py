@@ -115,6 +115,9 @@ class Scenario:
     cache: CacheConfig | None = None
 
     def __post_init__(self):
+        if self.duration is not None:
+            # a duration overrides the hyperperiods default, as in the file
+            object.__setattr__(self, "hyperperiods", None)
         if self.policy not in POLICIES:
             raise ScenarioError(f"policy must be one of {tuple(POLICIES)}")
         spec = POLICIES[self.policy]
@@ -345,12 +348,9 @@ def parse_scenario(text: str) -> Scenario:
     top, sections = _scan(text)
     kw = {key: _TOP[key](raw, line, key, None)
           for key, (raw, line) in top.items()}
-    if "duration" in kw:
-        if "hyperperiods" in kw:
-            raise ScenarioError(
-                "give either duration or hyperperiods, not both",
-                top["hyperperiods"][1])
-        kw["hyperperiods"] = None
+    if "duration" in kw and "hyperperiods" in kw:
+        raise ScenarioError("give either duration or hyperperiods, not both",
+                            top["hyperperiods"][1])
     name = kw.pop("name", "scenario")
 
     tasks = [_build(*sec, None) for sec in sections if sec[0] == "task"]

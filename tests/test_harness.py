@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +29,12 @@ from schedlab.scenario import (
     ScenarioError,
     ShuffleConfig,
     parse_scenario,
+    parse_scenario_file,
 )
 from schedlab.shuffle import ShuffleFP
 from schedlab.tasks import SPORADIC, Task, TaskSet
+
+HIDDEN = Path(__file__).parents[1] / "perfbench" / "scenarios" / "hidden.scn"
 
 VANILLA = """
 name = trio
@@ -421,6 +425,25 @@ T = 7
     assert report["offsets"]["low_confidence"] is True
     full = run_attack(parse_scenario(text), window=35)
     assert full["offsets"]["low_confidence"] is False
+
+
+def test_attack_simulates_its_window_once(monkeypatch):
+    # The slot budget counts duration x 1 for attack, so attack may run the
+    # engine exactly once: the offset search must not simulate.
+    import schedlab.engine
+
+    runs = []
+    real_run = schedlab.engine._Engine.run
+
+    def counted(engine):
+        runs.append(engine.duration)
+        return real_run(engine)
+
+    monkeypatch.setattr(schedlab.engine._Engine, "run", counted)
+    sc = parse_scenario_file(HIDDEN)
+    report = run_attack(sc)
+    assert report["offsets"]["exact"] is True
+    assert runs == [scenario_duration(sc)]
 
 
 def test_attack_cache_rounds_exact_when_clean():

@@ -1,8 +1,16 @@
 """Offset-inference attack: observation capture, pruned search, oracle parity."""
 
+import math
+import random
+from dataclasses import replace
+
 import pytest
 
-from schedlab import Task, TaskSet, generate_taskset, hyperperiod
+import schedlab.engine
+import schedlab.phase_inference
+from schedlab import Task, TaskSet, generate_taskset, hyperperiod, utilization
+from schedlab.cli import main
+from schedlab.engine import extract_busy_intervals, simulate
 from schedlab.phase_inference import (
     AMBIGUOUS,
     EXACT,
@@ -60,7 +68,7 @@ def test_single_task_offset_recovered_exactly():
     assert result.candidates == ((3,),)
     assert result.status == EXACT
     assert result.low_confidence is False
-    assert result.as_dicts() == ({1: 3},)
+    assert result.task_ids == (1,)
 
 
 def test_attacker_side_offsets_are_ignored():
@@ -106,6 +114,39 @@ def test_window_extension_never_adds_candidates():
 def test_short_window_refused():
     with pytest.raises(ValueError, match="longest period"):
         infer_offsets(single(), Observation(window=4, busy=((0, 2),)))
+
+
+def test_variable_execution_refused():
+    ts = TaskSet(tasks=(Task(id=1, C=2, T=5, priority=1, bcet=1),))
+    with pytest.raises(ValueError, match=r"bcet < C: \[1\]"):
+        infer_offsets(ts, observe(single(phase=3), 15))
+
+
+def test_bcet_equal_to_cost_accepted():
+    ts = TaskSet(tasks=(Task(id=1, C=2, T=5, priority=1, bcet=2),))
+    assert infer_offsets(ts, observe(single(phase=3), 15)).candidates == ((3,),)
+
+
+def test_invalid_set_refused():
+    ts = TaskSet(tasks=(
+        Task(id=1, C=1, T=4, priority=1),
+        Task(id=2, C=1, T=6, priority=1),
+    ))
+    with pytest.raises(ValueError, match="duplicate priorities"):
+        infer_offsets(ts, Observation(window=12, busy=()))
+
+
+def test_cli_attack_refuses_variable_execution(tmp_path, capsys, monkeypatch):
+    def no_run(engine):
+        raise AssertionError("simulated a scenario that attack refuses")
+
+    monkeypatch.setattr(schedlab.engine._Engine, "run", no_run)
+    path = tmp_path / "variable.scn"
+    path.write_text(
+        "name = variable\n\n[task]\nid = 1\nC = 2\nT = 5\nbcet = 1\n",
+        encoding="utf-8")
+    assert main(["attack", str(path)]) == 2
+    assert "bcet < C" in capsys.readouterr().err
 
 
 def test_sporadic_tasks_refused():
@@ -173,3 +214,69 @@ def test_result_is_deterministic():
     b = infer_offsets(ts, obs)
     assert a == b
     assert isinstance(a, InferenceResult)
+
+
+# --- the search against the simulator ---------------------------------------
+
+def _random_truth(rng: random.Random, overloaded: bool) -> TaskSet:
+    # Overloaded sets (U > 1) miss deadlines and spill past the window.
+    while True:
+        n = rng.randint(2, 3 if overloaded else 4)
+        target = rng.uniform(1.05, 1.2) if overloaded else rng.uniform(0.3, 0.9)
+        shares = [rng.random() for _ in range(n)]
+        prios = rng.sample(range(1, n + 1), n)
+        tasks = []
+        for i, share in enumerate(shares):
+            T = rng.randint(2, 12)
+            C = min(T, max(1, round(target * share / sum(shares) * T)))
+            tasks.append(Task(id=i + 1, C=C, T=T, D=rng.randint(C, T),
+                              phase=rng.randrange(T), priority=prios[i]))
+        ts = TaskSet(tasks=tuple(tasks))
+        if (utilization(ts) > 1) == overloaded:
+            return ts
+
+
+def test_candidates_replay_to_the_observation():
+    # Every candidate the search reports re-simulates to the observed busy
+    # intervals, and the candidates equal the simulator-based oracle.
+    rng = random.Random(606)
+    missed = oracle_checked = 0
+    for i in range(150):
+        truth = _random_truth(rng, overloaded=i % 2 == 0)
+        longest = max(t.T for t in truth)
+        window = (longest, 2 * longest, hyperperiod(truth))[i % 3]
+        trace = simulate(truth, window)
+        missed += bool(trace.misses)
+        obs = Observation.from_trace(trace)
+        result = infer_offsets(truth, obs)
+        assert tuple(t.phase for t in truth) in result.candidates
+        for cand in result.candidates:
+            replay = TaskSet(tasks=tuple(
+                replace(t, phase=p) for t, p in zip(truth, cand)))
+            busy = tuple((iv.start, iv.end) for iv in
+                         extract_busy_intervals(simulate(replay, window)))
+            assert busy == obs.busy, (truth, window, cand)
+        if math.prod(t.T for t in truth) <= 400:
+            assert result.candidates == brute_force_offsets(truth, obs)
+            oracle_checked += 1
+    assert missed >= 60 and oracle_checked >= 100
+
+
+def test_search_runs_no_simulation(monkeypatch):
+    truths = [(1, 0, 2), (3, 5, 11), (0, 0, 0)]
+    cases = []
+    for phases in truths:
+        truth = flagship(phases)
+        obs = observe(truth, hyperperiod(truth))
+        cases.append((obs, brute_force_offsets(truth, obs)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the offset search called the simulator")
+
+    monkeypatch.setattr(schedlab.phase_inference, "observe", refuse)
+    monkeypatch.setattr(schedlab.engine, "simulate", refuse)
+    # also catches simulate reached through any module's own import of it
+    monkeypatch.setattr(schedlab.engine._Engine, "run", refuse)
+    for phases, (obs, expected) in zip(truths, cases):
+        assert phases in expected
+        assert infer_offsets(flagship(), obs).candidates == expected

@@ -127,6 +127,14 @@ def test_round_trip_from_constructed_scenario():
     assert parse_scenario(emit_scenario(sc)) == sc
 
 
+def test_round_trip_with_duration():
+    # A duration replaces the hyperperiods default, as it does in the file.
+    ts = TaskSet(tasks=(Task(id=1, C=1, T=4, priority=1),), name="x")
+    sc = Scenario(name="x", taskset=ts, duration=8)
+    assert sc.hyperperiods is None
+    assert parse_scenario(emit_scenario(sc)) == sc
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "demo.scn"
     path.write_text(FULL, encoding="utf-8")
