@@ -5,7 +5,7 @@ Subcommands:
     simulate  run the scenario, report misses and defense metrics
               (exit 1 on any deadline miss or isolation violation)
     attack    run offset inference (and cache probing when configured)
-    sweep     re-evaluate one knob over a range of values
+    sweep     re-evaluate one scenario key over a range of values
     report    full JSON report, byte-stable across reruns
 
 Exit codes: 0 success, 1 the scenario ran but failed its safety or
@@ -20,7 +20,6 @@ import sys
 
 from schedlab.analysis import SCHEDULABLE
 from schedlab.harness import (
-    SWEEP_KEYS,
     analysis_block,
     build_policy,
     run_attack,
@@ -125,16 +124,16 @@ def _cmd_sweep(args) -> int:
     sc = parse_scenario_file(args.scenario)
     values = _parse_values(args.values)
     result = sweep(sc, args.key, values)
-    if args.key == "security.flush_cost":
+    if "best" not in result:
+        name = args.key.partition(".")[2]
         for row in result["rows"]:
-            print(f"flush_cost={row['flush_cost']} verdict={row['verdict']}")
-    else:
-        for row in result["rows"]:
-            print(f"period={row['period']} objective={row['objective']:.6f}"
-                  f" unavailability={row['unavailability']:.6f}")
-        best = result["best"]
-        print(f"best: period={best['period']}"
-              f" objective={best['objective']:.6f}")
+            print(f"{name}={row[name]} verdict={row['verdict']}")
+        return 0
+    for row in result["rows"]:
+        print(f"period={row['period']} objective={row['objective']:.6f}"
+              f" unavailability={row['unavailability']:.6f}")
+    best = result["best"]
+    print(f"best: period={best['period']} objective={best['objective']:.6f}")
     return 0
 
 
@@ -177,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-evaluate one knob over a range")
     p.add_argument("scenario", help="scenario file")
-    p.add_argument("--key", required=True, choices=SWEEP_KEYS)
+    p.add_argument("--key", required=True,
+                   help="<section>.<key>: a numeric key of a section the"
+                        " policy reads, or restart.period")
     p.add_argument("--values", required=True,
                    help="'lo:hi[:step]' inclusive, or 'a,b,c'")
     p.set_defaults(func=_cmd_sweep)

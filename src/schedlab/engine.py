@@ -103,9 +103,6 @@ class ScheduleTrace:
     def misses(self) -> list[Event]:
         return [e for e in self.events if e.kind == "deadline_miss"]
 
-    def events_of(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
     def slots_csv(self) -> str:
         lines = ["tick,occupant,job_id"]
         for tick, (occ, jid) in enumerate(zip(self.slots, self.slot_jobs)):

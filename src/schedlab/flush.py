@@ -8,7 +8,7 @@ predecessor.  Residue survives idle time: only a completed scrub clears it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from schedlab.analysis import rta_with_flush
 from schedlab.engine import FLUSH, IDLE, SchedulingPolicy
@@ -60,19 +60,6 @@ def needs_flush(policy: SecurityPolicy, ts: TaskSet, src_id: int, dst_id: int) -
     if policy.mode == PAIRWISE:
         return (src_id, dst_id) in policy.pairs
     return ts.by_id(src_id).security_level > ts.by_id(dst_id).security_level
-
-
-def as_pairwise(policy: SecurityPolicy, ts: TaskSet) -> SecurityPolicy:
-    """Compile a total-order policy into the equivalent explicit pair set."""
-    if policy.mode == PAIRWISE:
-        return policy
-    pairs = frozenset(
-        (a.id, b.id)
-        for a in ts
-        for b in ts
-        if a.id != b.id and a.security_level > b.security_level
-    )
-    return SecurityPolicy(mode=PAIRWISE, flush_cost=policy.flush_cost, pairs=pairs)
 
 
 class FlushFP(SchedulingPolicy):

@@ -3,7 +3,9 @@
 The harness turns a parsed Scenario into policy objects, runs the
 requested number of simulations (member i uses seed master + 1000003 * i,
 so ensembles are reproducible but decorrelated), and collects analysis,
-safety, defense, and attack metrics into one JSON-friendly report.
+safety, defense, and attack metrics into one JSON-friendly report.  What
+depends on the policy, such as its defense metrics or the sections a
+sweep may change, comes from its entry in scenario.POLICIES.
 Reports are plain dicts of sorted-key-stable scalars and lists: dumping
 them with sort_keys=True is byte-identical across runs of the same
 scenario, which makes regression diffs trivial.
@@ -11,13 +13,10 @@ scenario, which makes regression diffs trivial.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
-from schedlab.analysis import AnalysisReport, rta_with_flush
-from schedlab.engine import FLUSH, IDLE, SchedulingPolicy, VanillaFP, simulate
-from schedlab.flush import count_violations
-from schedlab.monitor import detection_latencies
+from schedlab.analysis import AnalysisReport
+from schedlab.engine import IDLE, SchedulingPolicy, simulate
 from schedlab.phase_inference import Observation, infer_offsets, require_inferable
 from schedlab.cache_probe import classify_footprint, probe_rounds
 from schedlab.restart import (
@@ -26,13 +25,8 @@ from schedlab.restart import (
     optimize_period,
     periodic_analysis,
 )
-from schedlab.scenario import POLICIES, Scenario, ScenarioError
-from schedlab.shuffle import (
-    GUARD_BUDGET,
-    InversionBudget,
-    compute_budgets,
-    schedule_entropy,
-)
+from schedlab.scenario import POLICIES, Scenario, ScenarioError, with_key
+from schedlab.shuffle import schedule_entropy
 from schedlab.tasks import PERIODIC, TaskSet, hyperperiod, utilization
 
 SEED_STRIDE = 1_000_003  # spreads ensemble members across seed space
@@ -47,13 +41,13 @@ def member_seed(master: int, index: int) -> int:
     return master + SEED_STRIDE * index
 
 
-def build_policy(sc: Scenario,
-                 budgets: InversionBudget | None = None) -> SchedulingPolicy:
+def build_policy(sc: Scenario, shared=None) -> SchedulingPolicy:
     """Fresh policy object for one run of the scenario, by its POLICIES entry.
 
-    A shuffle policy given budgets uses them instead of computing its own.
+    shared is what the entry's prepare hook made for the whole command; a
+    shuffle policy given certified budgets this way does not certify its own.
     """
-    return POLICIES[sc.policy].build(sc, budgets)
+    return POLICIES[sc.policy].build(sc, shared)
 
 
 def scenario_duration(sc: Scenario) -> int:
@@ -107,18 +101,16 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
         raise ValueError("runs must be >= 1")
     ts = sc.taskset
     duration = scenario_duration(sc)
-    # A flush scenario also runs every member unprotected, as its baseline.
-    flush = sc.policy == "flush"
-    _check_slot_budget(duration, 2 * runs if flush else runs)
-    # One certification serves every run and the report's shuffle block.
-    budgets = None
-    if sc.policy == "shuffle" and sc.shuffle.guard == GUARD_BUDGET:
-        budgets = compute_budgets(ts)
-    traces = [
-        simulate(ts, duration, policy=build_policy(sc, budgets),
-                 seed=member_seed(sc.seed, i))
-        for i in range(runs)
-    ]
+    spec = POLICIES[sc.policy]
+    _check_slot_budget(duration, 2 * runs if spec.baseline else runs)
+    shared = spec.prepare(sc) if spec.prepare else None
+
+    def ensemble(make_policy):
+        return [simulate(ts, duration, policy=make_policy(),
+                         seed=member_seed(sc.seed, i)) for i in range(runs)]
+
+    traces = ensemble(lambda: build_policy(sc, shared))
+    baselines = ensemble(lambda: spec.baseline(sc)) if spec.baseline else []
     run_rows = []
     total_misses = 0
     share_sums = {t.id: 0.0 for t in ts}
@@ -151,17 +143,8 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
             "runs": run_rows,
         },
     }
-    if flush:
-        for row, tr in zip(run_rows, traces):
-            row["violations"] = count_violations(tr, ts, sc.security)
-            row["flush_share"] = tr.slots.count(FLUSH) / duration
-        base = [simulate(ts, duration, policy=VanillaFP(),
-                         seed=member_seed(sc.seed, i)) for i in range(runs)]
-        report["simulation"]["total_violations"] = sum(
-            row["violations"] for row in run_rows)
-        report["simulation"]["unprotected_violations"] = sum(
-            count_violations(b, ts, sc.security) for b in base
-        )
+    if spec.report:
+        spec.report(sc, report, traces, baselines, shared)
 
     fold = _fold_period(ts, duration)
     folds = duration // fold if fold else 1
@@ -175,28 +158,6 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
     else:
         report["entropy"] = None
 
-    if budgets is not None:
-        report["shuffle"] = {
-            "budgets": {str(k): v for k, v in sorted(budgets.per_task.items())},
-            "completion_bounds": {
-                str(k): v for k, v in sorted(budgets.completion_bounds.items())
-            },
-        }
-    if sc.policy == "monitor":
-        lat_rows = []
-        for tr in traces:
-            lats = detection_latencies(tr, sc.monitor.scan_task,
-                                       sc.monitor.alerts)
-            lat_rows.append([l if l is not None else None for l in lats])
-        switches = [
-            sum(1 for e in tr.events if e.kind == "mode_switch")
-            for tr in traces
-        ]
-        report["monitor"] = {
-            "alerts": list(sc.monitor.alerts),
-            "latencies": lat_rows,
-            "mode_switches": switches,
-        }
     if sc.restart is not None:
         r = sc.restart
         if r.detection_rate is None:
@@ -261,30 +222,20 @@ def run_attack(sc: Scenario, window: int | None = None) -> dict:
     return report
 
 
-SWEEP_KEYS = ("security.flush_cost", "restart.period")
-
-
 def sweep(sc: Scenario, key: str, values) -> dict:
-    """Re-evaluate one scalar knob over a range of values."""
+    """Re-evaluate one section key, `<section>.<key>`, over a range of values.
+
+    Each value makes a new scenario, checked as its file would be, and its
+    row is the analysis block of that scenario's policy's own test.  Only
+    a section the policy reads can change the verdict, so a key of any
+    other section is refused, except restart.period: no policy reads
+    [restart], and its sweep finds the period with the best restart
+    objective instead.
+    """
     values = list(values)
     if not values:
         raise ValueError("empty sweep range")
-    if key == "security.flush_cost":
-        if sc.security is None:
-            raise ValueError("scenario has no [security] section to sweep")
-        rows = []
-        for v in values:
-            policy = dataclasses.replace(sc.security, flush_cost=v)
-            rep = rta_with_flush(sc.taskset, policy)
-            rows.append({
-                "flush_cost": v,
-                "verdict": rep.verdict,
-                "responses": {
-                    str(tid): r
-                    for tid, r in sorted(rep.per_task_response.items())
-                },
-            })
-        return {"key": key, "rows": rows}
+    section, _, name = key.partition(".")
     if key == "restart.period":
         if sc.restart is None:
             raise ValueError("scenario has no [restart] section to sweep")
@@ -301,4 +252,11 @@ def sweep(sc: Scenario, key: str, values) -> dict:
         return {"key": key, "rows": rows,
                 "best": {"period": result.best.period,
                          "objective": result.best.objective}}
-    raise ValueError(f"unsupported sweep key {key!r}; try one of {SWEEP_KEYS}")
+    if section not in POLICIES[sc.policy].reads:
+        raise ValueError(f"unsupported sweep key {key!r}: policy {sc.policy}"
+                         f" has no [{section}] keys to sweep")
+    rows = []
+    for v in values:
+        rep = build_policy(with_key(sc, key, v)).analyze(sc.taskset)
+        rows.append({name: v, **analysis_block(sc.taskset, rep)})
+    return {"key": key, "rows": rows}

@@ -1,12 +1,8 @@
-"""Behavioral monitoring: watchdog rules, learned activity profiles, and a
-scan policy that escalates its own sampling rate on suspicion.
+"""Behavioral monitoring: learned activity profiles, and a scan policy
+that escalates its own sampling rate on suspicion.
 
-Three layers, loosely coupled:
+Two layers, loosely coupled:
 
-* Hard watchdog rules compare a trace against the declared task
-  parameters: a job must not execute more ticks than its cost, and
-  releases of one task must not arrive closer than its period (minus a
-  configurable tolerance).  Violations are definite, not statistical.
 * A learned profile models per-window task activity shares.  Training
   vectors are clustered with incrementally seeded k-means (each new
   centroid is the training point that most reduces the current squared
@@ -25,69 +21,18 @@ Three layers, loosely coupled:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from schedlab.analysis import SCHEDULABLE, UNSCHEDULABLE, AnalysisReport
 from schedlab.engine import SchedulingPolicy, VanillaFP
-from schedlab.tasks import Task, TaskSet
+from schedlab.tasks import TaskSet
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: no scan or analysis path needs it
 
-OVERRUN = "overrun"
-EARLY_RELEASE = "early_release"
-
 PASSIVE = "passive"
 FINE = "fine"
-
-
-@dataclass(frozen=True)
-class Anomaly:
-    kind: str
-    task_id: int
-    job_id: int
-    tick: int
-    detail: str
-
-
-def watchdog_check(trace, ts: TaskSet, tolerance: int = 0) -> list:
-    """Definite rule violations of trace against the declared parameters."""
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    by_id = {t.id: t for t in ts}
-    anomalies = []
-    executed: dict[int, int] = {}
-    for slot_job in trace.slot_jobs:
-        if slot_job >= 0:
-            executed[slot_job] = executed.get(slot_job, 0) + 1
-    jobs_by_id = {j.job_id: j for j in trace.jobs}
-    for job_id, ticks in sorted(executed.items()):
-        job = jobs_by_id[job_id]
-        task = by_id.get(job.task_id)
-        if task is None:
-            continue  # jobs of undeclared tasks are the spawner's business
-        if ticks > task.C + tolerance:
-            anomalies.append(Anomaly(
-                kind=OVERRUN, task_id=job.task_id, job_id=job_id,
-                tick=job.release,
-                detail=f"executed {ticks} ticks, declared cost {task.C}",
-            ))
-    releases: dict[int, list] = {}
-    for job in trace.jobs:
-        releases.setdefault(job.task_id, []).append(job.release)
-    for task_id, rel in sorted(releases.items()):
-        task = by_id.get(task_id)
-        if task is None:
-            continue
-        rel.sort()
-        for a, b in zip(rel, rel[1:]):
-            if b - a < task.T - tolerance:
-                anomalies.append(Anomaly(
-                    kind=EARLY_RELEASE, task_id=task_id, job_id=-1, tick=b,
-                    detail=f"gap {b - a} below period {task.T}",
-                ))
-    return anomalies
 
 
 # --- learned activity profile -------------------------------------------------

@@ -28,27 +28,36 @@ number they were found on.  emit_scenario() writes a file that parses
 back to an equal Scenario.
 
 Two tables drive the format.  _SECTIONS maps each section to its config
-type and each key to the field it sets and its value parser; parsing and
-emitting both walk it, and a key left out takes the type's default (a
-field without one is a required key).  POLICIES maps each policy name to
-the section its policy reads and the factory that builds it; a Scenario,
-parsed or constructed, fills that section with its defaults or is refused.
+type and each key to the field it sets and its value parser; parsing,
+emitting and with_key all walk it, and a key left out takes the type's
+default (a field without one is a required key).  POLICIES maps each
+policy name to every section its policy reads, the factory that builds
+it, and the hooks that add what only that policy reports.  A Scenario,
+parsed or constructed, fills the first section its policy reads with its
+defaults or is refused; a sweep may set only keys of sections it reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
-from schedlab.engine import NonPreemptiveFP, VanillaFP
-from schedlab.flush import PAIRWISE, TOTAL_ORDER, FlushFP, SecurityPolicy
-from schedlab.monitor import MonitorPolicy
+from schedlab.engine import FLUSH, NonPreemptiveFP, VanillaFP
+from schedlab.flush import (
+    PAIRWISE,
+    TOTAL_ORDER,
+    FlushFP,
+    SecurityPolicy,
+    count_violations,
+)
+from schedlab.monitor import MonitorPolicy, detection_latencies
 from schedlab.shuffle import (
     GUARD_BUDGET,
     GUARD_NONE,
     MODES,
     TASK_ONLY,
     ShuffleFP,
+    compute_budgets,
 )
 from schedlab.tasks import (
     PERIODIC,
@@ -121,38 +130,96 @@ class Scenario:
         if self.policy not in POLICIES:
             raise ScenarioError(f"policy must be one of {tuple(POLICIES)}")
         spec = POLICIES[self.policy]
-        if spec.section is None or getattr(self, spec.section) is not None:
+        if not spec.reads or getattr(self, spec.reads[0]) is not None:
             return
         if not spec.filled:
             raise ScenarioError(
-                f"policy {self.policy} needs a [{spec.section}] section")
-        object.__setattr__(self, spec.section, _SECTIONS[spec.section][0]())
+                f"policy {self.policy} needs a [{spec.reads[0]}] section")
+        object.__setattr__(self, spec.reads[0], _SECTIONS[spec.reads[0]][0]())
 
 
 class PolicySpec(NamedTuple):
-    """What a policy name stands for."""
+    """What a policy name stands for.
 
-    section: str | None  # the section its factory reads
-    filled: bool  # a missing section takes its defaults; else it is refused
-    build: Callable  # (scenario, budgets or None) -> fresh SchedulingPolicy
+    reads names every section the policy's factory reads.  Its first entry
+    is the policy's own section: a missing one takes its defaults when
+    filled is true and is refused otherwise.  Scenario checks and sweep
+    both go by reads.
+
+    A command that runs the scenario calls each hook that is set:
+    prepare(sc) once, for state every run and the report share, given to
+    build as `shared`; baseline(sc) for a policy each ensemble member also
+    runs under, counted in the slot budget before the first tick; and
+    report(sc, report, traces, baselines, shared) to add what only this
+    policy can say to the report.
+    """
+
+    reads: tuple
+    filled: bool
+    build: Callable  # (scenario, shared or None) -> fresh SchedulingPolicy
+    prepare: Callable | None = None
+    baseline: Callable | None = None
+    report: Callable | None = None
 
 
-def _monitor(sc: Scenario, budgets) -> MonitorPolicy:
+def _flush_report(sc: Scenario, report, traces, baselines, shared) -> None:
+    sim = report["simulation"]
+    for row, tr in zip(sim["runs"], traces):
+        row["violations"] = count_violations(tr, sc.taskset, sc.security)
+        row["flush_share"] = tr.slots.count(FLUSH) / tr.duration
+    sim["total_violations"] = sum(row["violations"] for row in sim["runs"])
+    sim["unprotected_violations"] = sum(
+        count_violations(b, sc.taskset, sc.security) for b in baselines)
+
+
+def _shuffle_budgets(sc: Scenario):
+    # One certification serves every run and the report's shuffle block.
+    if sc.shuffle.guard == GUARD_BUDGET:
+        return compute_budgets(sc.taskset)
+    return None
+
+
+def _shuffle_report(sc: Scenario, report, traces, baselines, budgets) -> None:
+    if budgets is None:
+        return
+    report["shuffle"] = {
+        "budgets": {str(k): v for k, v in sorted(budgets.per_task.items())},
+        "completion_bounds": {
+            str(k): v for k, v in sorted(budgets.completion_bounds.items())
+        },
+    }
+
+
+def _monitor(sc: Scenario, shared) -> MonitorPolicy:
     m = sc.monitor
     base = FlushFP(sc.security) if sc.security is not None else VanillaFP()
     return MonitorPolicy(m.scan_task, base=base, fine_priority=m.fine_priority,
                          alert_ticks=m.alerts, escalate=m.escalate)
 
 
+def _monitor_report(sc: Scenario, report, traces, baselines, shared) -> None:
+    m = sc.monitor
+    report["monitor"] = {
+        "alerts": list(m.alerts),
+        "latencies": [detection_latencies(tr, m.scan_task, m.alerts)
+                      for tr in traces],
+        "mode_switches": [sum(1 for e in tr.events if e.kind == "mode_switch")
+                          for tr in traces],
+    }
+
+
 POLICIES = {
-    "vanilla": PolicySpec(None, False, lambda sc, budgets: VanillaFP()),
-    "nonpreemptive": PolicySpec(None, False,
-                                lambda sc, budgets: NonPreemptiveFP()),
-    "shuffle": PolicySpec("shuffle", True, lambda sc, budgets: ShuffleFP(
-        mode=sc.shuffle.mode, guard=sc.shuffle.guard, budgets=budgets)),
-    "flush": PolicySpec("security", False,
-                        lambda sc, budgets: FlushFP(sc.security)),
-    "monitor": PolicySpec("monitor", False, _monitor),
+    "vanilla": PolicySpec((), False, lambda sc, shared: VanillaFP()),
+    "nonpreemptive": PolicySpec((), False,
+                                lambda sc, shared: NonPreemptiveFP()),
+    "shuffle": PolicySpec(("shuffle",), True, lambda sc, shared: ShuffleFP(
+        mode=sc.shuffle.mode, guard=sc.shuffle.guard, budgets=shared),
+        prepare=_shuffle_budgets, report=_shuffle_report),
+    "flush": PolicySpec(("security",), False,
+                        lambda sc, shared: FlushFP(sc.security),
+                        baseline=lambda sc: VanillaFP(), report=_flush_report),
+    "monitor": PolicySpec(("monitor", "security"), False, _monitor,
+                          report=_monitor_report),
 }
 
 
@@ -382,6 +449,25 @@ def parse_scenario(text: str) -> Scenario:
 def parse_scenario_file(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read())
+
+
+def with_key(sc: Scenario, key: str, value) -> Scenario:
+    """sc with `<section>.<key>` set to value, as if its file said so.
+
+    The section, one of the Scenario's fields, must be present in sc and
+    the key must not repeat.  The section's config type checks the value
+    first, then the key's own parser, then the new Scenario itself.
+    """
+    section, _, name = key.partition(".")
+    spec = _SECTIONS[section][1].get(name)
+    if spec is None or spec.many:
+        raise ScenarioError(f"[{section}] has no single-valued key {name!r}")
+    config = getattr(sc, section)
+    if config is None:
+        raise ScenarioError(f"scenario has no [{section}] section")
+    config = replace(config, **{spec.field: value})
+    spec.parse(str(value), 0, name, {t.id for t in sc.taskset})
+    return replace(sc, **{section: config})
 
 
 def _show(value) -> str:

@@ -404,6 +404,7 @@ def test_overload_cases_miss_and_abort():
 
 def test_monitor_cases_escalate_before_the_first_scan():
     trace = run_case("watched/monitor_vanilla_early_alert/0")
-    switches = trace.events_of("mode_switch")
-    scans = [e for e in trace.events_of("release") if e.task_id == 4]
+    switches = [e for e in trace.events if e.kind == "mode_switch"]
+    scans = [e for e in trace.events
+             if e.kind == "release" and e.task_id == 4]
     assert switches[0].tick == 3 and scans[0].tick == 30

@@ -1,16 +1,19 @@
 """Harness and CLI: scenario execution, reports, sweeps, exit codes."""
 
 import json
+import random
+import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from schedlab.cli import _parse_values, main
 from schedlab.engine import NonPreemptiveFP, VanillaFP
-from schedlab.flush import FlushFP
+from schedlab.flush import FlushFP, SecurityPolicy
 from schedlab.harness import (
     MAX_SIMULATED_TICKS,
     analyze_scenario,
@@ -25,6 +28,7 @@ from schedlab.monitor import MonitorPolicy
 from schedlab.restart import optimize_period
 from schedlab.scenario import (
     POLICIES,
+    MonitorConfig,
     Scenario,
     ScenarioError,
     ShuffleConfig,
@@ -32,7 +36,7 @@ from schedlab.scenario import (
     parse_scenario_file,
 )
 from schedlab.shuffle import ShuffleFP
-from schedlab.tasks import SPORADIC, Task, TaskSet
+from schedlab.tasks import SPORADIC, Task, TaskSet, generate_taskset
 
 HIDDEN = Path(__file__).parents[1] / "perfbench" / "scenarios" / "hidden.scn"
 
@@ -193,6 +197,31 @@ T = 8
 [monitor]
 scan_task = 3
 alert = 10
+"""
+
+# With one-tick scrubs the passive placement passes flush-aware RTA, but
+# the escalated scan (C=2, T=15, top priority) pushes task 1's response
+# past its deadline of 6, so the monitor refuses the set.
+SCRUBBED_ESCALATION = """
+name = scrubbed
+policy = monitor
+
+[task]
+id = 1
+C = 2
+T = 6
+
+[task]
+id = 2
+C = 2
+T = 30
+
+[security]
+mode = total_order
+flush_cost = 1
+
+[monitor]
+scan_task = 2
 """
 
 # Co-prime periods: one hyperperiod is 971,230,541 ticks.
@@ -506,6 +535,73 @@ def test_sweep_rejects_a_fractional_flush_cost():
         sweep(sc, "security.flush_cost", [-1])
 
 
+def _generated_scenarios(count, seed):
+    """Flush, monitor-over-flush and monitor-over-vanilla scenarios on
+    generated sets, with random levels, scrub costs and scan tasks."""
+    rng = random.Random(seed)
+    pool = (4, 5, 6, 8, 10, 12, 15, 20, 24, 30)
+    for k in range(count):
+        ts = generate_taskset(rng.randint(2, 5), rng.uniform(0.2, 0.9), pool,
+                              seed=k, tol=0.02)
+        ts = TaskSet(tuple(replace(t, security_level=rng.randrange(3))
+                           for t in ts), ts.name)
+        security = SecurityPolicy(flush_cost=rng.randint(0, 2))
+        monitor = MonitorConfig(scan_task=rng.choice(ts.tasks).id)
+        yield Scenario("flush", ts, policy="flush", security=security)
+        yield Scenario("monitor", ts, policy="monitor", security=security,
+                       monitor=monitor)
+        yield Scenario("monitor", ts, policy="monitor", monitor=monitor)
+
+
+def test_sweep_verdicts_are_the_policys_own():
+    # Each swept scenario is built here by hand, and its policy's own test
+    # must give the verdict sweep printed; a section the policy does not
+    # read, or that the scenario lacks, has no verdict and is refused.
+    cases = {
+        "security.flush_cost": (range(4), lambda sc, v: replace(
+            sc, security=replace(sc.security, flush_cost=v))),
+        "monitor.fine_priority": (range(7), lambda sc, v: replace(
+            sc, monitor=replace(sc.monitor, fine_priority=v))),
+    }
+    compared = refused = 0
+    for sc in _generated_scenarios(150, seed=2017):
+        for key, (values, swept) in cases.items():
+            section = key.partition(".")[0]
+            if (section not in POLICIES[sc.policy].reads
+                    or getattr(sc, section) is None):
+                with pytest.raises(ValueError, match=f"no \\[{section}\\]"):
+                    sweep(sc, key, values)
+                continue
+            for v in values:
+                try:
+                    want = build_policy(swept(sc, v)).analyze(sc.taskset)
+                except ValueError as exc:  # a fine priority that collides
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        sweep(sc, key, [v])
+                    refused += 1
+                    continue
+                (row,) = sweep(sc, key, [v])["rows"]
+                assert row["verdict"] == want.verdict, (sc, key, v)
+                compared += 1
+    assert compared > 1000 and refused > 0
+
+
+def test_sweep_refuses_keys_that_cannot_change_a_verdict():
+    shuffled = parse_scenario(SHUFFLE + "\n[security]\nflush_cost = 1\n")
+    with pytest.raises(ValueError, match="policy shuffle has no"):
+        sweep(shuffled, "security.flush_cost", [0, 1])
+    flushed = parse_scenario(FLUSH)
+    with pytest.raises(ValueError, match="no single-valued key 'pair'"):
+        sweep(flushed, "security.pair", [1])
+    with pytest.raises(ValueError, match="no single-valued key 'alert'"):
+        sweep(parse_scenario(MONITOR), "monitor.alert", [5])
+    probed = parse_scenario(PROBE)
+    with pytest.raises(ValueError, match="no \\[cache\\] keys"):
+        sweep(probed, "cache.lines", [32, 64])
+    with pytest.raises(ValueError, match="fine_priority expects an integer"):
+        sweep(parse_scenario(MONITOR), "monitor.fine_priority", [0.5])
+
+
 # -------------------------------------------------------------------- cli
 
 
@@ -580,6 +676,38 @@ def test_cli_sweep_flush(tmp_path, capsys):
                  "--values", "0:4"]) == 0
     out = capsys.readouterr().out
     assert out.count("flush_cost=") == 5
+
+
+def test_cli_sweep_verdict_is_the_monitors(tmp_path, capsys):
+    path = _write(tmp_path, SCRUBBED_ESCALATION)
+    assert main(["sweep", path, "--key", "security.flush_cost",
+                 "--values", "1"]) == 0
+    assert capsys.readouterr().out == "flush_cost=1 verdict=unschedulable\n"
+    assert main(["analyze", path]) == 1
+    assert "verdict: unschedulable" in capsys.readouterr().out
+
+
+def test_cli_sweep_monitor_fine_priority(tmp_path, capsys):
+    # At priority 5 the escalated scan (C=1, T=6) runs below every task, at
+    # U = 1, and cannot finish within its deadline of 6.
+    path = _write(tmp_path, MONITOR)
+    assert main(["sweep", path, "--key", "monitor.fine_priority",
+                 "--values", "0,5"]) == 0
+    assert capsys.readouterr().out == (
+        "fine_priority=0 verdict=schedulable\n"
+        "fine_priority=5 verdict=unschedulable\n")
+
+
+@pytest.mark.parametrize("text,key", [
+    (SHUFFLE + "\n[security]\nflush_cost = 1\n", "security.flush_cost"),
+    (FLUSH, "security.pair"),
+    (PROBE, "cache.lines"),
+], ids=["unread-section", "repeated-key", "cache"])
+def test_cli_sweep_refused_key_exits_two(tmp_path, capsys, text, key):
+    path = _write(tmp_path, text)
+    assert main(["sweep", path, "--key", key, "--values", "1:2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_cli_sweep_restart(tmp_path, capsys):
@@ -670,7 +798,7 @@ def test_cli_analyze_prints_the_deadline_the_test_used(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "report"])
 def test_cli_certifies_shuffle_budgets_once(tmp_path, capsys, monkeypatch,
                                             command):
-    import schedlab.harness
+    import schedlab.scenario
     import schedlab.shuffle
 
     calls = []
@@ -681,7 +809,7 @@ def test_cli_certifies_shuffle_budgets_once(tmp_path, capsys, monkeypatch,
         return original(ts)
 
     monkeypatch.setattr(schedlab.shuffle, "compute_budgets", counted)
-    monkeypatch.setattr(schedlab.harness, "compute_budgets", counted)
+    monkeypatch.setattr(schedlab.scenario, "compute_budgets", counted)
     path = _write(tmp_path, SHUFFLE)
     assert main([command, path, "--runs", "4"]) == 0
     assert len(calls) == 1

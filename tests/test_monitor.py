@@ -1,4 +1,4 @@
-"""Monitoring defense: watchdog rules, learned profiles, escalating scans."""
+"""Monitoring defense: learned profiles, escalating scans."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,12 @@ import pytest
 from schedlab import Task, TaskSet, VanillaFP, hyperperiod, simulate
 from schedlab.flush import FlushFP, SecurityPolicy
 from schedlab.monitor import (
-    EARLY_RELEASE,
-    OVERRUN,
     MonitorPolicy,
     activity_features,
     detection_latencies,
     fit_profile,
     flag_anomalies,
     score_vectors,
-    watchdog_check,
 )
 
 
@@ -30,45 +27,6 @@ def with_scan(scan_C=1, scan_T=12, scan_prio=4):
     base = flagship().tasks
     return TaskSet(tasks=(*base, Task(id=9, C=scan_C, T=scan_T,
                                       priority=scan_prio)))
-
-
-# --- watchdog ---------------------------------------------------------------
-
-def test_watchdog_clean_trace_has_no_anomalies():
-    ts = flagship()
-    tr = simulate(ts, 4 * hyperperiod(ts), policy=VanillaFP(), seed=0)
-    assert watchdog_check(tr, ts) == []
-
-
-def test_watchdog_flags_execution_overruns():
-    # The victim actually runs 4 ticks per job while claiming a cost of 2.
-    real = TaskSet(tasks=(Task(id=1, C=4, T=10, priority=1),))
-    claimed = TaskSet(tasks=(Task(id=1, C=2, T=10, priority=1),))
-    tr = simulate(real, 30, policy=VanillaFP(), seed=0)
-    anomalies = watchdog_check(tr, claimed)
-    assert len(anomalies) == 3
-    assert all(a.kind == OVERRUN and a.task_id == 1 for a in anomalies)
-    assert "declared cost 2" in anomalies[0].detail
-
-
-def test_watchdog_flags_early_releases():
-    real = TaskSet(tasks=(Task(id=1, C=1, T=4, priority=1),))
-    claimed = TaskSet(tasks=(Task(id=1, C=1, T=8, priority=1),))
-    tr = simulate(real, 24, policy=VanillaFP(), seed=0)
-    anomalies = watchdog_check(tr, claimed)
-    assert anomalies and all(a.kind == EARLY_RELEASE for a in anomalies)
-    assert "gap 4" in anomalies[0].detail
-
-
-def test_watchdog_tolerance_is_monotone():
-    real = TaskSet(tasks=(Task(id=1, C=3, T=10, priority=1),))
-    claimed = TaskSet(tasks=(Task(id=1, C=2, T=10, priority=1),))
-    tr = simulate(real, 30, policy=VanillaFP(), seed=0)
-    strict = watchdog_check(tr, claimed, tolerance=0)
-    loose = watchdog_check(tr, claimed, tolerance=1)
-    assert len(strict) == 3 and loose == []
-    with pytest.raises(ValueError, match=">= 0"):
-        watchdog_check(tr, claimed, tolerance=-1)
 
 
 # --- feature extraction --------------------------------------------------------
