@@ -3,11 +3,12 @@
 The engine owns releases, execution accounting, deadline checks, and event
 emission; scheduling decisions are delegated to a pluggable policy object.
 The engine advances from decision point to decision point: at each one it
-asks the policy to pick an occupant and then how many ticks that choice
-stands (at most until the next release, the running job's completion, the
-earliest pending deadline or the end of the run), and books them in one
-step.  A hold stands for exactly the picks the policy would have made on
-the ticks it covers, so the trace is the one a tick-by-tick loop would
+asks the policy to pick an occupant, then to hold it: to say how many
+ticks that choice stands (at most until the next release, the running
+job's completion, the earliest pending deadline or the end of the run)
+and book what those ticks cost the policy.  The engine books the slots in
+one step.  A hold stands for exactly the picks the policy would have made
+on the ticks it covers, so the trace is the one a tick-by-tick loop would
 produce; the default hold is one tick.  All randomness (sporadic gaps,
 variable demands, policy coin flips) derives from the single seed passed
 to simulate(), so a trace is reproducible bit for bit.
@@ -160,12 +161,15 @@ class SchedulingPolicy:
     return a Job from `ready`, a job it spawned itself, or the IDLE/FLUSH
     sentinel.  `ready` is sorted by (priority, release, job_id), so
     ready[0] is the highest-priority job.  hold() then says for how many
-    ticks k, 1 <= k <= limit, that choice stands, and books the k - 1
-    ticks after this one as if pick() had run on each; the engine asks
-    again at tick + k.  limit never reaches past the next release, the
-    chosen job's completion, the earliest pending deadline or the end of
-    the run.  The default holds one tick, so a policy without its own
-    hold() is asked on every tick.
+    ticks k, 1 <= k <= limit, that choice stands, and books what those k
+    ticks cost, such as the budgets each of them charges; the engine asks
+    again at tick + k.  pick() would have made the same choice on each of
+    those ticks, and hold() repeats nothing pick() decided: state that
+    changes with time is kept as tick stamps (a scrub's end, a scan's last
+    release) that pick() compares with the tick.  limit never reaches past
+    the next release, the chosen job's completion, the earliest pending
+    deadline or the end of the run.  The default holds one tick, so a
+    policy without its own hold() is asked on every tick.
     analyze() is the schedulability test that is sound for this dispatch;
     scenario verdicts and monitor admission both ask the policy for it.
     """
@@ -366,34 +370,28 @@ class _Engine:
                     f"policy {policy.name} held its choice for {k!r} ticks at"
                     f" tick {tick}; allowed 1..{limit}"
                 )
+            occ = choice.task_id if is_job else choice
+            if prev_occ == FLUSH and occ != FLUSH:
+                events.append(Event(tick, "flush_end", -1, -1))
+            if prev_job is not None and prev_job is not choice:
+                events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
             if is_job:
                 job = choice
-                if prev_occ == FLUSH:
-                    events.append(Event(tick, "flush_end", -1, -1))
-                if prev_job is not None and prev_job is not job:
-                    events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
                 if job.start is None:
                     job.start = tick
-                    events.append(Event(tick, "start", job.task_id, job.job_id))
+                    events.append(Event(tick, "start", occ, job.job_id))
                 elif prev_job is not job:
-                    events.append(Event(tick, "resume", job.task_id, job.job_id))
+                    events.append(Event(tick, "resume", occ, job.job_id))
                 job.remaining -= k
-                slots.extend([job.task_id] * k)
                 slot_jobs.extend([job.job_id] * k)
                 prev_job = job
-                prev_occ = job.task_id
             else:
-                occ = choice
-                if prev_job is not None:
-                    events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
                 if occ == FLUSH and prev_occ != FLUSH:
                     events.append(Event(tick, "flush_begin", -1, -1))
-                if prev_occ == FLUSH and occ != FLUSH:
-                    events.append(Event(tick, "flush_end", -1, -1))
-                slots.extend([occ] * k)
                 slot_jobs.extend([-1] * k)
                 prev_job = None
-                prev_occ = occ
+            slots.extend([occ] * k)
+            prev_occ = occ
             tick += k
         # Boundary bookkeeping for a job finishing on the last slot.
         if prev_job is not None and prev_job.remaining == 0:

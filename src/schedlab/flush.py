@@ -77,8 +77,7 @@ class FlushFP(SchedulingPolicy):
     def __init__(self, policy: SecurityPolicy):
         self.policy = policy
         self.taint: set[int] = set()
-        self._flush_left = 0
-        self._clear_pending = False
+        self._scrub_end = 0  # the tick after the running scrub's last slot
 
     def analyze(self, ts):
         return rta_with_flush(ts, self.policy)
@@ -86,45 +85,30 @@ class FlushFP(SchedulingPolicy):
     def attach(self, ts, ctx):
         self.ts = ts
         self.taint = set()
-        self._flush_left = 0
-        self._clear_pending = False
+        self._scrub_end = 0
 
     def pick(self, tick, ready, ctx):
-        if self._clear_pending:
-            self.taint.clear()
-            self._clear_pending = False
-        if self._flush_left > 0:
-            self._flush_left -= 1
-            if self._flush_left == 0:
-                self._clear_pending = True
+        if tick < self._scrub_end:
             return FLUSH
         if not ready:
             return IDLE  # residue deliberately survives idle time
         job = ready[0]
-        dirty = any(
-            needs_flush(self.policy, self.ts, src, job.task_id) for src in self.taint
-        )
-        if dirty:
-            if self.policy.flush_cost == 0:
-                self.taint.clear()  # free scrub: clean instantly, no slot spent
-            else:
-                self._flush_left = self.policy.flush_cost - 1
-                if self._flush_left == 0:
-                    self._clear_pending = True
+        if any(needs_flush(self.policy, self.ts, src, job.task_id)
+               for src in self.taint):
+            # Nothing runs during a scrub, so its residue is gone once it
+            # starts; a free scrub (flush_cost = 0) spends no slot at all.
+            self.taint.clear()
+            if self.policy.flush_cost > 0:
+                self._scrub_end = tick + self.policy.flush_cost
                 return FLUSH
         self.taint.add(job.task_id)
         return job
 
     def hold(self, tick, ready, ctx, choice, limit):
         # A job or idle stands until ready changes; a scrub runs its course.
-        if choice is not FLUSH:
-            return limit
-        k = min(1 + self._flush_left, limit)
-        if k > 1:
-            self._flush_left -= k - 1
-            if self._flush_left == 0:
-                self._clear_pending = True
-        return k
+        if choice is FLUSH:
+            return min(self._scrub_end - tick, limit)
+        return limit
 
 
 def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:

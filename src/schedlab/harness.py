@@ -19,12 +19,7 @@ from schedlab.analysis import AnalysisReport
 from schedlab.engine import IDLE, SchedulingPolicy, simulate
 from schedlab.phase_inference import Observation, infer_offsets, require_inferable
 from schedlab.cache_probe import classify_footprint, probe_rounds
-from schedlab.restart import (
-    detection_analysis,
-    objective,
-    optimize_period,
-    periodic_analysis,
-)
+from schedlab.restart import optimize_period
 from schedlab.scenario import POLICIES, Scenario, ScenarioError, with_key
 from schedlab.shuffle import schedule_entropy
 from schedlab.tasks import PERIODIC, TaskSet, hyperperiod, utilization
@@ -160,16 +155,14 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
 
     if sc.restart is not None:
         r = sc.restart
-        if r.detection_rate is None:
-            rep = periodic_analysis(r.period, r.reboot, r.compromise_rate)
-        else:
-            rep = detection_analysis(r.period, r.reboot, r.compromise_rate,
-                                     r.detection_rate)
+        best = optimize_period([r.period], r.reboot, r.compromise_rate,
+                               weight=r.weight,
+                               detection_rate=r.detection_rate).best
         report["restart"] = {
-            "period": rep.period,
-            "unavailability": rep.unavailability,
-            "compromised_fraction": rep.compromised_fraction,
-            "objective": objective(rep, r.weight),
+            "period": best.period,
+            "unavailability": best.report.unavailability,
+            "compromised_fraction": best.report.compromised_fraction,
+            "objective": best.objective,
             "weight": r.weight,
         }
     return report

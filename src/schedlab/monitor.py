@@ -13,9 +13,11 @@ Two layers, loosely coupled:
 * MonitorPolicy runs a scan task it manages itself on top of a wrapped
   dispatch policy.  Normally scans run at a passive priority and period;
   an alert escalates them to a reserved high priority and half the
-  period until one escalated scan completes.  Both placements must pass
-  the wrapped policy's own schedulability test up front, so the monitor
-  can never be the cause of a deadline miss.
+  period until one escalated scan completes.  Every placement the scan
+  can take must pass the wrapped policy's own schedulability test up
+  front, so the monitor can never be the cause of a deadline miss.  With
+  escalate = false that is the passive placement alone, and fine_priority
+  is never used, so it may equal a task's priority.
 """
 
 from __future__ import annotations
@@ -161,15 +163,6 @@ def flag_anomalies(profile: ActivityProfile, vectors) -> np.ndarray:
 
 # --- escalating scan policy -----------------------------------------------------
 
-@dataclass
-class _ScanState:
-    mode: str = PASSIVE
-    last_release: int | None = None
-    alerts: tuple = ()
-    alert_idx: int = 0
-    active_alert: int | None = None
-
-
 class MonitorPolicy(SchedulingPolicy):
     """Self-scheduled security scans over a wrapped dispatch policy.
 
@@ -196,16 +189,19 @@ class MonitorPolicy(SchedulingPolicy):
         return {self.scan_task_id} | self.base.managed_task_ids()
 
     def analyze(self, ts):
-        """The base policy's report on the passive placement when both
-        placements pass, otherwise on the first one that fails."""
+        """The base policy's report on the passive placement when every
+        placement the scan can take passes, otherwise on the first one
+        that fails."""
         return self._admission(ts)[1]
 
     def _admission(self, ts: TaskSet):
         """(label of the first failing placement or None, its report).
 
         The scan runs in two placements: passive, as declared, and fine, at
-        fine_priority with half the period.  Both must pass the base
-        policy's own test; with both passing the passive report is given.
+        fine_priority with half the period.  Each placement that can occur
+        must pass the base policy's own test, and without escalation only
+        the passive one can; with all of them passing the passive report
+        is given.
         """
         try:
             scan = ts.by_id(self.scan_task_id)
@@ -214,13 +210,16 @@ class MonitorPolicy(SchedulingPolicy):
                 f"scan task {self.scan_task_id} not in task set"
             ) from None
         others = [t for t in ts if t.id != scan.id]
-        if any(t.priority == self.fine_priority for t in others):
+        if self.escalate and any(t.priority == self.fine_priority
+                                 for t in others):
             raise ValueError(
                 f"fine priority {self.fine_priority} collides with task set"
             )
         passive = self.base.analyze(ts)
         if passive.verdict != SCHEDULABLE:
             return PASSIVE, passive
+        if not self.escalate:
+            return None, passive
         fine_period = max(1, scan.T // 2)
         if scan.C > fine_period:
             # An escalated scan longer than its own period never keeps up.
@@ -245,55 +244,45 @@ class MonitorPolicy(SchedulingPolicy):
             )
         self._scan = ts.by_id(self.scan_task_id)
         self._fine_period = max(1, self._scan.T // 2)
-        self._state = _ScanState(alerts=self.alert_ticks)
+        self._fine = False
+        self._last_release: int | None = None
+        self._alerts = list(self.alert_ticks) if self.escalate else []
         self.base.attach(ts, ctx)
 
-    def _period(self) -> int:
-        return self._fine_period if self._state.mode == FINE else self._scan.T
-
-    def _priority(self) -> int:
-        if self._state.mode == FINE:
-            return self.fine_priority
-        return self._scan.priority
+    def _due(self) -> int:
+        """The tick of the next scan release in the current mode."""
+        if self._last_release is None:
+            return self._scan.phase
+        if self._fine:
+            return self._last_release + self._fine_period
+        return self._last_release + self._scan.T
 
     def pick(self, tick, ready, ctx):
-        st = self._state
         done = ctx.completed
-        if (st.mode == FINE and done is not None
+        if (self._fine and done is not None
                 and done.task_id == self.scan_task_id
                 and done.priority == self.fine_priority):
-            st.mode = PASSIVE
-            st.active_alert = None
+            self._fine = False
             ctx.emit("mode_switch", self.scan_task_id)
-        if (self.escalate and st.mode == PASSIVE
-                and st.alert_idx < len(st.alerts)
-                and st.alerts[st.alert_idx] <= tick):
-            st.alert_idx += 1
-            st.mode = FINE
-            st.active_alert = tick
+        if not self._fine and self._alerts and self._alerts[0] <= tick:
+            del self._alerts[0]
+            self._fine = True
             ctx.emit("mode_switch", self.scan_task_id)
-        due = (st.last_release is None and tick >= self._scan.phase) or (
-            st.last_release is not None
-            and tick >= st.last_release + self._period()
-        )
-        if due:
-            period = self._period()
-            ctx.spawn(self.scan_task_id, demand=self._scan.C,
-                      deadline=tick + period, priority=self._priority())
-            st.last_release = tick
+        if tick >= self._due():
+            scan = self._scan
+            fine = self._fine
+            ctx.spawn(scan.id, demand=scan.C,
+                      deadline=tick + (self._fine_period if fine else scan.T),
+                      priority=self.fine_priority if fine else scan.priority)
+            self._last_release = tick
         return self.base.pick(tick, ready, ctx)
 
     def hold(self, tick, ready, ctx, choice, limit):
         # The mode falls back only at a scan's completion, which already
         # ends the hold; an alert or the next scan release must end it too.
-        st = self._state
-        if self.escalate and st.mode == PASSIVE and st.alert_idx < len(st.alerts):
-            limit = min(limit, st.alerts[st.alert_idx] - tick)
-        if st.last_release is None:
-            due = self._scan.phase
-        else:
-            due = st.last_release + self._period()
-        limit = min(limit, due - tick)
+        limit = min(limit, self._due() - tick)
+        if not self._fine and self._alerts:
+            limit = min(limit, self._alerts[0] - tick)
         return self.base.hold(tick, ready, ctx, choice, limit)
 
 

@@ -76,9 +76,6 @@ class InversionBudget:
     per_task: dict
     completion_bounds: dict
 
-    def fresh(self, task_id: int) -> int:
-        return self.per_task[task_id]
-
 
 def _utilization_scale(by_prio) -> tuple[int, list]:
     """H, the lcm of the periods, and each task's weight H / T."""
@@ -213,10 +210,6 @@ class ShuffleFP(SchedulingPolicy):
         self.remaining: dict[int, int] = {}
         self.sticky = None
 
-    def _fresh(self, job):
-        if self.budget is not None:
-            self.remaining[job.job_id] = self.budget.fresh(job.task_id)
-
     def _enough(self, job) -> bool:
         return self.remaining.get(job.job_id, 0) >= 1
 
@@ -231,8 +224,9 @@ class ShuffleFP(SchedulingPolicy):
         return all(self._enough(j) for j in ready)
 
     def pick(self, tick, ready, ctx):
-        for job in ctx.arrivals:
-            self._fresh(job)
+        if self.budget is not None:
+            for job in ctx.arrivals:
+                self.remaining[job.job_id] = self.budget.per_task[job.task_id]
         if ctx.completed is not None:
             self.remaining.pop(ctx.completed.job_id, None)
         if not ready:
@@ -258,35 +252,27 @@ class ShuffleFP(SchedulingPolicy):
             if self.mode != TASK_ONLY and self._idle_legal(ready):
                 candidates.append(IDLE)
             choice = ctx.rng.choice(candidates)
-        if self.budget is not None:
-            for j in self._charged(choice, ready):
-                left = self.remaining.get(j.job_id, 0) - 1
-                if self.guard == GUARD_BUDGET and left < 0:
-                    raise AssertionError("inversion budget overdrawn")
-                self.remaining[j.job_id] = left
         self.sticky = choice
         return choice
 
-    @staticmethod
-    def _charged(choice, ready):
-        """The waiting jobs whose budgets a tick of `choice` charges."""
-        if choice is IDLE:
-            return ready
-        return [j for j in ready if j.priority < choice.priority]
-
     def hold(self, tick, ready, ctx, choice, limit):
-        # Between decision points the sticky choice stays legal while every
-        # job it charges has a tick of budget left, so it stands for one
-        # tick more than the smallest such budget.
-        if self.mode == FINE_GRAINED:
-            return 1
-        charged = self._charged(choice, ready)
-        k = limit
+        # Each tick of the choice charges one tick to every job it delays.
+        # Under the guard the choice stands while each of them has budget
+        # left; a charged job with none left means pick broke the guard.
+        k = 1 if self.mode == FINE_GRAINED else limit
+        if self.budget is None:
+            return k
+        if choice is IDLE:
+            charged = ready
+        else:
+            charged = [j for j in ready if j.priority < choice.priority]
+        remaining = self.remaining
         if self.guard == GUARD_BUDGET and charged:
-            k = min(limit, 1 + min(self.remaining.get(j.job_id, 0) for j in charged))
-        if self.budget is not None:
-            for j in charged:
-                self.remaining[j.job_id] = self.remaining.get(j.job_id, 0) - (k - 1)
+            k = min(k, min(remaining.get(j.job_id, 0) for j in charged))
+            if k < 1:
+                raise AssertionError("inversion budget overdrawn")
+        for j in charged:
+            remaining[j.job_id] = remaining.get(j.job_id, 0) - k
         return k
 
 

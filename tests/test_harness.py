@@ -687,6 +687,21 @@ def test_cli_sweep_verdict_is_the_monitors(tmp_path, capsys):
     assert "verdict: unschedulable" in capsys.readouterr().out
 
 
+def test_cli_monitor_without_escalation_checks_the_passive_placement(
+        tmp_path, capsys):
+    # Only the escalated placement fails, and a monitor that never
+    # escalates never runs it.
+    path = _write(tmp_path, SCRUBBED_ESCALATION + "escalate = false\n")
+    assert main(["analyze", path]) == 0
+    assert "verdict: schedulable" in capsys.readouterr().out
+    assert main(["simulate", path]) == 0
+    assert "deadline misses: 0" in capsys.readouterr().out
+    path = _write(tmp_path, SCRUBBED_ESCALATION + "escalate = true\n")
+    assert main(["analyze", path]) == 1
+    assert main(["simulate", path]) == 2
+    assert "fine placement" in capsys.readouterr().err
+
+
 def test_cli_sweep_monitor_fine_priority(tmp_path, capsys):
     # At priority 5 the escalated scan (C=1, T=6) runs below every task, at
     # U = 1, and cannot finish within its deadline of 6.

@@ -200,6 +200,27 @@ def test_monitor_refuses_unschedulable_placements():
         simulate(tight, 10, policy=MonitorPolicy(9))
 
 
+def test_monitor_without_escalation_admits_on_the_passive_placement():
+    # The same sets as above: without escalation the fine placement never
+    # runs, so neither its test nor its priority can refuse the monitor.
+    tight = TaskSet(tasks=(
+        Task(id=1, C=3, T=8, priority=1),
+        Task(id=2, C=3, T=8, D=8, priority=2, phase=0),
+        Task(id=9, C=2, T=8, priority=3),
+    ))
+    tr = simulate(tight, 48, policy=MonitorPolicy(9, alert_ticks=[5],
+                                                  escalate=False))
+    assert tr.misses == []
+    assert not [e for e in tr.events if e.kind == "mode_switch"]
+    tr = simulate(with_scan(), 24, policy=MonitorPolicy(
+        9, fine_priority=1, escalate=False))
+    assert tr.misses == []
+    heavy = TaskSet(tasks=(*flagship().tasks,
+                           Task(id=9, C=3, T=4, priority=4)))
+    with pytest.raises(ValueError, match="passive"):
+        simulate(heavy, 10, policy=MonitorPolicy(9, escalate=False))
+
+
 def test_monitor_rejects_bad_configuration():
     ts = with_scan()
     with pytest.raises(ValueError, match="not in task set"):

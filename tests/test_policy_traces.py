@@ -164,9 +164,9 @@ def test_generated_set_traces_are_frozen(config):
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_a_hold_stands_for_the_picks_it_covers(config):
+    make = CONFIGS[config]
     ran = 0
     for seed, (ts, pairwise, scan, alerts) in enumerate(SETS):
-        make = CONFIGS[config]
         own = _run(ts, make(ts, pairwise, scan, alerts), seed)
         wrapped = OneTickHolds(make(ts, pairwise, scan, alerts))
         assert _run(ts, wrapped, seed) == own, (config, seed)
