@@ -131,15 +131,14 @@ def rta_with_flush(ts: TaskSet, policy) -> AnalysisReport:
     Every dispatch boundary that could demand a scrub is charged: the
     analyzed task pays one F (its own entry), and each higher-priority job
     pays 2F (its entry plus the re-entry it forces on whoever it preempts).
-    With F = 0 or an empty forbidden-flow relation this is exactly plain RTA.
-    Soundness, not tightness, is the contract here.
+    F is charged only when policy.forbidden(ts) names a pair; with none,
+    FlushFP never scrubs and runs as VanillaFP, so, as with F = 0, this is
+    exactly plain RTA.  Soundness, not tightness, is the contract here.
     """
     require_valid(ts)
     f = policy.flush_cost
-    if f < 0:
-        raise ValueError("flush cost must be >= 0")
     by_prio = ts.by_priority()
-    charged = f if policy.has_constraints() else 0
+    charged = f if policy.forbidden(ts) else 0
     return _report("rta_flush", by_prio, _preemptive_bounds(by_prio, charged),
                    bound_value=float(f))
 

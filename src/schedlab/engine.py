@@ -40,8 +40,6 @@ EVENT_KINDS = (
     "flush_begin",
     "flush_end",
     "mode_switch",
-    "restart_begin",
-    "restart_end",
 )
 
 
@@ -117,10 +115,6 @@ class ScheduleTrace:
         return "\n".join(lines) + "\n"
 
 
-class PolicyError(ValueError):
-    """A policy refused the task set (e.g. its feasibility guard failed)."""
-
-
 class EngineContext:
     """View of the current decision point handed to policies.
 
@@ -156,7 +150,7 @@ class EngineContext:
 class SchedulingPolicy:
     """Base policy: subclasses pick the occupant of each tick.
 
-    attach() runs once before the first tick and may raise PolicyError to
+    attach() runs once before the first tick and may raise ValueError to
     refuse the workload.  pick() runs at each decision point and must
     return a Job from `ready`, a job it spawned itself, or the IDLE/FLUSH
     sentinel.  `ready` is sorted by (priority, release, job_id), so

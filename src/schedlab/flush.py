@@ -1,9 +1,11 @@
 """Leakage-constrained dispatch: scrub a shared resource between tasks.
 
-A SecurityPolicy names forbidden information flows between tasks; the
-FlushFP policy inserts a non-preemptable scrub of F ticks (FLUSH slots)
-whenever the next task to run could observe residue left by a forbidden
-predecessor.  Residue survives idle time: only a completed scrub clears it.
+SecurityPolicy.forbidden(ts) decides which information flows between tasks
+are forbidden; FlushFP, its analysis and count_violations all read it.
+FlushFP inserts a non-preemptable scrub of F ticks (FLUSH slots) whenever
+the next task to run could observe residue left by a forbidden predecessor,
+so a set with no forbidden pair runs unscrubbed and its analysis charges no
+F.  Residue survives idle time: only a completed scrub clears it.
 """
 
 from __future__ import annotations
@@ -49,17 +51,18 @@ class SecurityPolicy:
             if src == dst:
                 raise ValueError(f"forbidden flow ({src}, {dst}) names one task twice")
 
-    def has_constraints(self) -> bool:
-        return self.mode == TOTAL_ORDER or bool(self.pairs)
+    def forbidden(self, ts: TaskSet) -> frozenset:
+        """The (src, dst) task-id pairs where dst may not run over src's residue.
 
-
-def needs_flush(policy: SecurityPolicy, ts: TaskSet, src_id: int, dst_id: int) -> bool:
-    """True when running dst after src requires a scrub in between."""
-    if src_id == dst_id:
-        return False
-    if policy.mode == PAIRWISE:
-        return (src_id, dst_id) in policy.pairs
-    return ts.by_id(src_id).security_level > ts.by_id(dst_id).security_level
+        Pairwise mode keeps the named pairs whose two ids are both in ts;
+        total order forbids every flow from a strictly higher level down.
+        """
+        if self.mode == PAIRWISE:
+            ids = {t.id for t in ts}
+            return frozenset((src, dst) for src, dst in self.pairs
+                             if src in ids and dst in ids)
+        return frozenset((src.id, dst.id) for src in ts for dst in ts
+                         if src.security_level > dst.security_level)
 
 
 class FlushFP(SchedulingPolicy):
@@ -76,16 +79,14 @@ class FlushFP(SchedulingPolicy):
 
     def __init__(self, policy: SecurityPolicy):
         self.policy = policy
-        self.taint: set[int] = set()
-        self._scrub_end = 0  # the tick after the running scrub's last slot
 
     def analyze(self, ts):
         return rta_with_flush(ts, self.policy)
 
     def attach(self, ts, ctx):
-        self.ts = ts
-        self.taint = set()
-        self._scrub_end = 0
+        self.forbidden = self.policy.forbidden(ts)
+        self.taint: set[int] = set()
+        self._scrub_end = 0  # the tick after the running scrub's last slot
 
     def pick(self, tick, ready, ctx):
         if tick < self._scrub_end:
@@ -93,8 +94,7 @@ class FlushFP(SchedulingPolicy):
         if not ready:
             return IDLE  # residue deliberately survives idle time
         job = ready[0]
-        if any(needs_flush(self.policy, self.ts, src, job.task_id)
-               for src in self.taint):
+        if any((src, job.task_id) in self.forbidden for src in self.taint):
             # Nothing runs during a scrub, so its residue is gone once it
             # starts; a free scrub (flush_cost = 0) spends no slot at all.
             self.taint.clear()
@@ -123,6 +123,7 @@ def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:
     f = policy.flush_cost
     if f == 0:
         return 0
+    forbidden = policy.forbidden(ts)
     violations = 0
     taint: set[int] = set()
     run = 0  # length of the FLUSH run ending at the previous tick
@@ -140,7 +141,7 @@ def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:
             prev = IDLE
             continue
         entering = occ != prev
-        if entering and any(needs_flush(policy, ts, src, occ) for src in taint):
+        if entering and any((src, occ) in forbidden for src in taint):
             violations += 1
         taint.add(occ)
         prev = occ

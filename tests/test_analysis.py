@@ -22,7 +22,7 @@ from schedlab.analysis import (
     rta_with_flush,
     utilization_bound_test,
 )
-from schedlab.engine import NonPreemptiveFP, simulate
+from schedlab.engine import FLUSH, NonPreemptiveFP, simulate
 from schedlab.flush import FlushFP, SecurityPolicy
 from schedlab.tasks import Task, TaskSet, generate_taskset, hyperperiod, rate_monotonic
 
@@ -156,6 +156,19 @@ class TestFlushRta:
         policy = SecurityPolicy(mode="pairwise", flush_cost=3, pairs=frozenset())
         a = rta_with_flush(FLAGSHIP, policy)
         assert a.per_task_response == response_time_analysis(FLAGSHIP).per_task_response
+
+    def test_one_level_total_order_is_plain_rta(self):
+        # Every task sits at level 0, so no flow is forbidden and FlushFP
+        # never scrubs: no F may be charged.
+        policy = SecurityPolicy(mode="total_order", flush_cost=1)
+        assert policy.forbidden(FLAGSHIP) == frozenset()
+        for report in (rta_with_flush(FLAGSHIP, policy),
+                       FlushFP(policy).analyze(FLAGSHIP)):
+            assert report.verdict == SCHEDULABLE
+            assert report.per_task_response == {1: 1, 2: 3, 3: 10}
+        trace = simulate(FLAGSHIP, 48, policy=FlushFP(policy))
+        assert FLUSH not in trace.slots
+        assert not trace.misses
 
     def test_two_task_boundary_case(self):
         # R2 = (1+1) + ceil(R/4)*(1+2) lands exactly on D = 8.

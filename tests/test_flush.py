@@ -9,7 +9,6 @@ from schedlab.flush import (
     FlushFP,
     SecurityPolicy,
     count_violations,
-    needs_flush,
 )
 from schedlab.tasks import Task, TaskSet, generate_taskset, hyperperiod
 
@@ -27,20 +26,29 @@ def leveled(*rows):
 
 
 class TestNeedsFlush:
+    """Which flows need a scrub: SecurityPolicy.forbidden(ts) and its checks."""
+
     def test_total_order_downward_only(self):
         ts = leveled((1, 1, 10, 1, 2), (2, 1, 10, 2, 1), (3, 1, 10, 3, 1))
-        policy = SecurityPolicy(mode="total_order", flush_cost=1)
-        assert needs_flush(policy, ts, 1, 2)  # high -> low leaks
-        assert not needs_flush(policy, ts, 2, 1)  # upward is fine
-        assert not needs_flush(policy, ts, 1, 1)
-        assert not needs_flush(policy, ts, 2, 3)  # so is one level
+        forbidden = SecurityPolicy(mode="total_order", flush_cost=1).forbidden(ts)
+        assert (1, 2) in forbidden  # high -> low leaks
+        assert (2, 1) not in forbidden  # upward is fine
+        assert (1, 1) not in forbidden
+        assert (2, 3) not in forbidden  # so is one level
+        assert forbidden == {(1, 2), (1, 3)}
 
     def test_pairwise_exact_pairs(self):
         ts = leveled((1, 1, 10, 1, 0), (2, 1, 10, 2, 0), (3, 1, 10, 3, 0))
         policy = SecurityPolicy(mode="pairwise", flush_cost=1, pairs={(1, 3)})
-        assert needs_flush(policy, ts, 1, 3)
-        assert not needs_flush(policy, ts, 3, 1)
-        assert not needs_flush(policy, ts, 1, 2)
+        forbidden = policy.forbidden(ts)
+        assert (1, 3) in forbidden
+        assert (3, 1) not in forbidden
+        assert (1, 2) not in forbidden
+
+    def test_pairwise_keeps_pairs_inside_the_set(self):
+        ts = leveled((1, 1, 10, 1, 0), (2, 1, 10, 2, 0))
+        policy = SecurityPolicy(mode="pairwise", pairs={(1, 2), (1, 3), (4, 2)})
+        assert policy.forbidden(ts) == {(1, 2)}
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError, match="names one task twice"):

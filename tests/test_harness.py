@@ -90,6 +90,13 @@ flush_cost = 1
 pair = 1 2
 """
 
+# The trio under total order with one shared level: nothing is forbidden.
+ONE_LEVEL = VANILLA.replace("policy = vanilla", "policy = flush") + """
+[security]
+mode = total_order
+flush_cost = 1
+"""
+
 MONITOR = """
 name = watched
 policy = monitor
@@ -210,6 +217,7 @@ policy = monitor
 id = 1
 C = 2
 T = 6
+security_level = 1
 
 [task]
 id = 2
@@ -639,6 +647,14 @@ def test_cli_analyze_unschedulable_exits_one(tmp_path, capsys):
     path = _write(tmp_path, OVERLOAD)
     assert main(["analyze", path]) == 1
     assert "verdict:" in capsys.readouterr().out
+
+
+def test_cli_analyze_charges_no_scrub_without_a_forbidden_pair(tmp_path, capsys):
+    path = _write(tmp_path, ONE_LEVEL)
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "method: rta_flush" in out
+    assert "verdict: schedulable" in out
 
 
 def test_cli_simulate_ok(tmp_path, capsys):
