@@ -223,7 +223,8 @@ def sweep(sc: Scenario, key: str, values) -> dict:
     a section the policy reads can change the verdict, so a key of any
     other section is refused, except restart.period: no policy reads
     [restart], and its sweep finds the period with the best restart
-    objective instead.
+    objective instead.  A value the policy refuses gets a row with verdict
+    "refused" and the reason, and the sweep goes on.
     """
     values = list(values)
     if not values:
@@ -250,6 +251,11 @@ def sweep(sc: Scenario, key: str, values) -> dict:
                          f" has no [{section}] keys to sweep")
     rows = []
     for v in values:
-        rep = build_policy(with_key(sc, key, v)).analyze(sc.taskset)
+        policy = build_policy(with_key(sc, key, v))
+        try:
+            rep = policy.analyze(sc.taskset)
+        except ValueError as exc:  # the policy refuses this value
+            rows.append({name: v, "verdict": "refused", "reason": str(exc)})
+            continue
         rows.append({name: v, **analysis_block(sc.taskset, rep)})
     return {"key": key, "rows": rows}

@@ -30,6 +30,7 @@ independent oracle the search is tested against.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 from schedlab.engine import VanillaFP, extract_busy_intervals, simulate
@@ -230,28 +231,8 @@ def brute_force_offsets(ts: TaskSet, obs: Observation,
     if space > cap:
         raise ValueError(f"offset space {space} exceeds cap {cap}")
     ids_sorted = tuple(sorted(t.id for t in ts))
+    vectors = itertools.product(*(range(ts.by_id(i).T) for i in ids_sorted))
     if obs.window == 0:
-        return tuple(_all_vectors(ts, ids_sorted))
-    hits = []
-    for vec in _all_vectors(ts, ids_sorted):
-        if _replay_matches(ts, ids_sorted, vec, obs):
-            hits.append(vec)
-    hits.sort()
-    return tuple(hits)
-
-
-def _all_vectors(ts: TaskSet, ids_sorted):
-    periods = {t.id: t.T for t in ts}
-    dims = [periods[i] for i in ids_sorted]
-    vec = [0] * len(dims)
-    while True:
-        yield tuple(vec)
-        i = len(dims) - 1
-        while i >= 0:
-            vec[i] += 1
-            if vec[i] < dims[i]:
-                break
-            vec[i] = 0
-            i -= 1
-        if i < 0:
-            return
+        return tuple(vectors)
+    # product yields the vectors in ascending order, so the hits are sorted
+    return tuple(v for v in vectors if _replay_matches(ts, ids_sorted, v, obs))

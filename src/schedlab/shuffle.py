@@ -52,6 +52,7 @@ changing a budget or a bound it grants:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from schedlab.analysis import SCHEDULABLE, fixed_point, response_time_analysis
@@ -189,6 +190,12 @@ class ShuffleFP(SchedulingPolicy):
     charges the budgets of everyone it delays (idle charges every ready
     job); between decision points the previous choice persists until an
     arrival, a completion, or its legality expiring forces a new pick.
+
+    Under the guard a job may run only while every waiting job above it
+    has budget left, so the legal jobs are a prefix of `ready`: every job
+    up to and including the priority level of the first ready job whose
+    budget is spent.  Idle is legal only when no ready job is spent.
+    Unguarded, budgets never change a choice, so none are kept.
     """
 
     def __init__(self, mode: str = TASK_ONLY, guard: str = GUARD_BUDGET,
@@ -203,62 +210,48 @@ class ShuffleFP(SchedulingPolicy):
         self.name = f"shuffle-{mode}"
 
     def attach(self, ts, ctx):
+        self.budget = None
         if self.guard == GUARD_BUDGET:
             self.budget = self._given if self._given is not None else compute_budgets(ts)
-        else:
-            self.budget = self._given  # may be None; unguarded mode ignores it
         self.remaining: dict[int, int] = {}
         self.sticky = None
 
-    def _enough(self, job) -> bool:
-        return self.remaining.get(job.job_id, 0) >= 1
-
-    def _job_legal(self, job, ready) -> bool:
-        if self.guard == GUARD_NONE:
-            return True
-        return all(self._enough(j) for j in ready if j.priority < job.priority)
-
-    def _idle_legal(self, ready) -> bool:
-        if self.guard == GUARD_NONE:
-            return True
-        return all(self._enough(j) for j in ready)
+    def _legal(self, ready) -> tuple[list, bool]:
+        """The legal prefix of ready and whether idle is legal, in one pass."""
+        if self.budget is not None:
+            remaining = self.remaining
+            for i, job in enumerate(ready):
+                if remaining.get(job.job_id, 0) < 1:
+                    end = i + 1
+                    while end < len(ready) and ready[end].priority == job.priority:
+                        end += 1
+                    return ready[:end], False
+        return ready, True
 
     def pick(self, tick, ready, ctx):
         if self.budget is not None:
             for job in ctx.arrivals:
                 self.remaining[job.job_id] = self.budget.per_task[job.task_id]
-        if ctx.completed is not None:
-            self.remaining.pop(ctx.completed.job_id, None)
+            if ctx.completed is not None:
+                self.remaining.pop(ctx.completed.job_id, None)
         if not ready:
             # Forced idle: nobody is waiting, so nobody is charged.
             self.sticky = None
             return IDLE
-        decision = (
-            self.mode == FINE_GRAINED
-            or bool(ctx.arrivals)
-            or ctx.completed is not None
-            or self.sticky is None
-        )
-        choice = None
-        if not decision:
-            s = self.sticky
-            if s is IDLE:
-                if self._idle_legal(ready):
-                    choice = IDLE
-            elif s in ready and self._job_legal(s, ready):
-                choice = s
-        if choice is None:
-            candidates = [j for j in ready if self._job_legal(j, ready)]
-            if self.mode != TASK_ONLY and self._idle_legal(ready):
-                candidates.append(IDLE)
-            choice = ctx.rng.choice(candidates)
+        legal, idle_legal = self._legal(ready)
+        choice = self.sticky  # kept unless a decision point or it is no longer legal
+        if (self.mode == FINE_GRAINED or ctx.arrivals or ctx.completed is not None
+                or not (idle_legal if choice is IDLE else choice in legal)):
+            if self.mode != TASK_ONLY and idle_legal:
+                legal = [*legal, IDLE]
+            choice = ctx.rng.choice(legal)
         self.sticky = choice
         return choice
 
     def hold(self, tick, ready, ctx, choice, limit):
         # Each tick of the choice charges one tick to every job it delays.
-        # Under the guard the choice stands while each of them has budget
-        # left; a charged job with none left means pick broke the guard.
+        # The choice stands while each of them has budget left; a charged
+        # job with none left means pick broke the guard.
         k = 1 if self.mode == FINE_GRAINED else limit
         if self.budget is None:
             return k
@@ -267,7 +260,7 @@ class ShuffleFP(SchedulingPolicy):
         else:
             charged = [j for j in ready if j.priority < choice.priority]
         remaining = self.remaining
-        if self.guard == GUARD_BUDGET and charged:
+        if charged:
             k = min(k, min(remaining.get(j.job_id, 0) for j in charged))
             if k < 1:
                 raise AssertionError("inversion budget overdrawn")
@@ -298,17 +291,12 @@ def schedule_entropy(traces, hyperperiod: int | None = None):
     h = duration if hyperperiod is None else hyperperiod
     if h <= 0 or duration % h != 0:
         raise ValueError(f"hyperperiod {h} does not divide duration {duration}")
-    folds = duration // h
-    if folds * len(seqs) < 2:
+    total = duration // h * len(seqs)  # samples per offset
+    if total < 2:
         raise ValueError("need at least two samples per offset")
     per_offset = []
     for o in range(h):
-        counts: dict[int, int] = {}
-        for s in seqs:
-            for q in range(folds):
-                occ = s[o + q * h]
-                counts[occ] = counts.get(occ, 0) + 1
-        total = folds * len(seqs)
+        counts = Counter(occ for s in seqs for occ in s[o::h])
         ent = 0.0
         for c in counts.values():
             p = c / total

@@ -2,7 +2,6 @@
 
 import json
 import random
-import re
 import subprocess
 import sys
 import time
@@ -584,8 +583,9 @@ def test_sweep_verdicts_are_the_policys_own():
                 try:
                     want = build_policy(swept(sc, v)).analyze(sc.taskset)
                 except ValueError as exc:  # a fine priority that collides
-                    with pytest.raises(ValueError, match=re.escape(str(exc))):
-                        sweep(sc, key, [v])
+                    (row,) = sweep(sc, key, [v])["rows"]
+                    assert row == {key.partition(".")[2]: v, "verdict": "refused",
+                                   "reason": str(exc)}, (sc, key, v)
                     refused += 1
                     continue
                 (row,) = sweep(sc, key, [v])["rows"]
@@ -727,6 +727,20 @@ def test_cli_sweep_monitor_fine_priority(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "fine_priority=0 verdict=schedulable\n"
         "fine_priority=5 verdict=unschedulable\n")
+
+
+def test_cli_sweep_goes_on_past_a_refused_value(capsys):
+    # Tasks 1 and 2 of watch.scn hold priorities 1 and 2, where the
+    # escalated scan would collide; the values around them still get rows.
+    watch = str(HIDDEN.with_name("watch.scn"))
+    assert main(["sweep", watch, "--key", "monitor.fine_priority",
+                 "--values", "0:4"]) == 0
+    assert capsys.readouterr().out == (
+        "fine_priority=0 verdict=schedulable\n"
+        "fine_priority=1 verdict=refused\n"
+        "fine_priority=2 verdict=refused\n"
+        "fine_priority=3 verdict=unschedulable\n"
+        "fine_priority=4 verdict=unschedulable\n")
 
 
 @pytest.mark.parametrize("text,key", [

@@ -12,6 +12,7 @@ import pytest
 
 from schedlab import (
     IDLE,
+    Job,
     Task,
     TaskSet,
     VanillaFP,
@@ -22,7 +23,9 @@ from schedlab import (
 )
 from schedlab.shuffle import (
     FINE_GRAINED,
+    GUARD_BUDGET,
     GUARD_NONE,
+    MODES,
     TASK_ONLY,
     WITH_IDLE,
     InversionBudget,
@@ -269,6 +272,145 @@ def test_guarded_run_uses_inversion():
         simulate(ts, 50, policy=ShuffleFP(mode=TASK_ONLY), seed=s).slots != vanilla
         for s in range(10)
     )
+
+
+# --- the legality rule against its definition ------------------------------
+
+class _RecordingRng:
+    """Stands in for the policy rng: records each candidate list it is given
+    and picks the last candidate."""
+
+    def __init__(self):
+        self.given = []
+
+    def choice(self, seq):
+        self.given.append(list(seq))
+        return seq[-1]
+
+
+class _Ctx:
+    def __init__(self, arrivals=(), completed=None):
+        self.rng = _RecordingRng()
+        self.arrivals = list(arrivals)
+        self.completed = completed
+
+
+def _job(task_id, job_id, priority, release=0):
+    return Job(task_id=task_id, job_id=job_id, release=release,
+               absolute_deadline=release + 100, exec_demand=1, remaining=1,
+               priority=priority)
+
+
+def _reference_draw(ready, remaining, mode, guard, sticky):
+    """The candidate list the per-candidate rule gives pick's draw, or None
+    when the sticky choice stands: a job is legal iff every ready job above
+    it has a tick of budget left, and idle iff every ready job has."""
+    def enough(j):
+        return remaining.get(j.job_id, 0) >= 1
+
+    def job_legal(job):
+        return guard == GUARD_NONE or all(
+            enough(j) for j in ready if j.priority < job.priority)
+
+    idle_legal = guard == GUARD_NONE or all(enough(j) for j in ready)
+    if mode != FINE_GRAINED:
+        if sticky is IDLE and idle_legal:
+            return None
+        if sticky is not IDLE and sticky in ready and job_legal(sticky):
+            return None
+    candidates = [j for j in ready if job_legal(j)]
+    if mode != TASK_ONLY and idle_legal:
+        candidates.append(IDLE)
+    return candidates
+
+
+def _check_pick(ready, remaining, mode, guard=GUARD_BUDGET, sticky=None):
+    """Drive pick at a non-decision tick and compare with the reference."""
+    budgets = InversionBudget(per_task={}, completion_bounds={})
+    policy = ShuffleFP(mode=mode, guard=guard, budgets=budgets)
+    policy.attach(None, None)
+    policy.remaining = dict(remaining)
+    policy.sticky = sticky
+    ctx = _Ctx()
+    choice = policy.pick(0, ready, ctx)
+    want = _reference_draw(ready, remaining, mode, guard, sticky)
+    if want is None:
+        assert ctx.rng.given == [] and choice is sticky
+    else:
+        assert ctx.rng.given == [want] and choice is want[-1]
+    assert policy.sticky is choice
+    return want
+
+
+def test_spent_first_job_keeps_its_sibling_and_drops_lower_levels():
+    a1, a2, b, c = _job(1, 1, 1), _job(1, 2, 1, 5), _job(2, 3, 2), _job(3, 4, 3)
+    ready = [a1, a2, b, c]
+    for mode in MODES:
+        assert _check_pick(ready, {1: 0, 2: 2, 3: 2, 4: 2}, mode) == [a1, a2]
+
+
+def test_spent_job_in_the_middle_ends_the_prefix_at_its_level():
+    a, b, c, d = (_job(t, t, t) for t in (1, 2, 3, 4))
+    ready = [a, b, c, d]
+    for mode in MODES:
+        assert _check_pick(ready, {1: 2, 2: 0, 3: 1, 4: 1}, mode) == [a, b]
+
+
+def test_no_job_spent_and_every_job_spent():
+    a, b, c = (_job(t, t, t) for t in (1, 2, 3))
+    ready = [a, b, c]
+    assert _check_pick(ready, {1: 1, 2: 2, 3: 1}, TASK_ONLY) == ready
+    assert _check_pick(ready, {1: 1, 2: 2, 3: 1}, WITH_IDLE) == [*ready, IDLE]
+    for mode in MODES:
+        assert _check_pick(ready, {}, mode) == [a]
+
+
+def test_sticky_choice_past_the_prefix_forces_a_fresh_draw():
+    a, b, c = (_job(t, t, t) for t in (1, 2, 3))
+    ready = [a, b, c]
+    some_spent = {1: 1, 2: 0, 3: 1}
+    assert _check_pick(ready, some_spent, TASK_ONLY, sticky=c) == [a, b]
+    assert _check_pick(ready, some_spent, WITH_IDLE, sticky=IDLE) == [a, b]
+    assert _check_pick(ready, some_spent, TASK_ONLY, sticky=b) is None
+    assert _check_pick(ready, {1: 1, 2: 1}, WITH_IDLE, sticky=IDLE) == [a, b, c]
+    assert _check_pick(ready, {1: 1, 2: 1, 3: 1}, WITH_IDLE, sticky=IDLE) is None
+
+
+def test_unguarded_shuffle_keeps_no_budgets():
+    a, b = _job(1, 1, 1), _job(2, 2, 2)
+    for mode in MODES:
+        assert _check_pick([a, b], {}, mode, guard=GUARD_NONE) == (
+            [a, b] if mode == TASK_ONLY else [a, b, IDLE])
+    budgets = InversionBudget(per_task={1: 3, 2: 3}, completion_bounds={})
+    policy = ShuffleFP(mode=WITH_IDLE, guard=GUARD_NONE, budgets=budgets)
+    policy.attach(None, None)
+    assert policy.budget is None
+    ctx = _Ctx(arrivals=[a, b])
+    choice = policy.pick(0, [a, b], ctx)
+    assert policy.hold(0, [a, b], ctx, choice, 7) == 7
+    assert policy.remaining == {}
+
+
+def test_pick_matches_the_per_candidate_rule_on_random_ready_lists():
+    rng = random.Random(2016)
+    drawn = kept = 0
+    for _ in range(1000):
+        tasks = rng.randint(1, 8)
+        priorities = rng.sample(range(1, 20), tasks)
+        ready, job_id = [], 0
+        for task_id, prio in enumerate(priorities, start=1):
+            for k in range(rng.randint(1, 3)):
+                job_id += 1
+                ready.append(_job(task_id, job_id, prio, release=10 * k))
+        ready = rng.sample(ready, rng.randint(1, len(ready)))
+        ready.sort(key=lambda j: j.sort_key)
+        remaining = {j.job_id: rng.randint(0, 2) for j in ready}
+        sticky = rng.choice([None, IDLE, *ready, _job(99, 99, 0)])
+        want = _check_pick(ready, remaining, rng.choice(MODES),
+                           rng.choice([GUARD_BUDGET, GUARD_NONE]), sticky)
+        drawn += want is not None
+        kept += want is None
+    assert drawn > 300 and kept > 100
 
 
 # --- entropy metric -------------------------------------------------------
