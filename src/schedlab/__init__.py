@@ -22,7 +22,6 @@ from schedlab.engine import (
     Job,
     Event,
     ScheduleTrace,
-    BusyInterval,
     simulate,
     extract_busy_intervals,
     check_trace,
@@ -31,7 +30,6 @@ from schedlab.engine import (
 )
 from schedlab.analysis import (
     AnalysisReport,
-    utilization_bound_test,
     response_time_analysis,
     rta_with_flush,
     blocking_term_nonpreemptive,
@@ -63,7 +61,6 @@ from schedlab.cache_probe import (
 from schedlab.restart import (
     RestartReport,
     MonteCarloReport,
-    SweepResult,
     periodic_analysis,
     detection_analysis,
     simulate_periodic,
@@ -100,14 +97,12 @@ __all__ = [
     "Job",
     "Event",
     "ScheduleTrace",
-    "BusyInterval",
     "simulate",
     "extract_busy_intervals",
     "check_trace",
     "VanillaFP",
     "NonPreemptiveFP",
     "AnalysisReport",
-    "utilization_bound_test",
     "response_time_analysis",
     "rta_with_flush",
     "blocking_term_nonpreemptive",
@@ -133,7 +128,6 @@ __all__ = [
     "classify_footprint",
     "RestartReport",
     "MonteCarloReport",
-    "SweepResult",
     "periodic_analysis",
     "detection_analysis",
     "simulate_periodic",

@@ -1,4 +1,4 @@
-"""Offline schedulability tests: the utilization bound and response-time analysis.
+"""Offline schedulability tests: response-time analysis in three forms.
 
 All tests are sufficient-side conservative: a "schedulable" verdict must
 never be contradicted by the matching simulator configuration.  Every
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from schedlab.tasks import PERIODIC, TaskSet, require_valid, utilization
+from schedlab.tasks import TaskSet, require_valid
 
 SCHEDULABLE = "schedulable"
 UNSCHEDULABLE = "unschedulable"
@@ -32,38 +32,9 @@ class AnalysisReport:
     verdict: str
     method: str
     per_task_response: dict = field(default_factory=dict)
-    bound_value: float | None = None
     # Task id -> the deadline its response was checked against.  A test may
     # run on a variant of the given set (the monitor's fine placement).
     deadlines: dict = field(default_factory=dict)
-
-
-def utilization_bound_test(ts: TaskSet) -> AnalysisReport:
-    """Sufficient utilization test U <= n(2^(1/n) - 1).
-
-    Only valid for periodic, implicit-deadline (D = T), rate-monotonic
-    workloads; anything else raises because the bound says nothing there.
-    Above the bound but at most 1 the verdict is inconclusive.
-    """
-    require_valid(ts)
-    if any(t.kind != PERIODIC for t in ts):
-        raise ValueError("utilization bound applies to periodic tasks only")
-    if any(t.D != t.T for t in ts):
-        raise ValueError("utilization bound requires implicit deadlines (D = T)")
-    by_prio = ts.by_priority()
-    periods = [t.T for t in by_prio]
-    if periods != sorted(periods):
-        raise ValueError("utilization bound requires rate-monotonic priorities")
-    n = len(ts)
-    bound = n * (2 ** (1.0 / n) - 1.0)
-    u = utilization(ts)
-    if u > 1:
-        verdict = UNSCHEDULABLE
-    elif float(u) <= bound:
-        verdict = SCHEDULABLE
-    else:
-        verdict = INCONCLUSIVE
-    return AnalysisReport(verdict=verdict, method="utilization_bound", bound_value=bound)
 
 
 def fixed_point(own: int, terms, limit) -> int | None:
@@ -84,7 +55,7 @@ def fixed_point(own: int, terms, limit) -> int | None:
     return None
 
 
-def _report(method: str, by_prio, bounds, bound_value=None) -> AnalysisReport:
+def _report(method: str, by_prio, bounds) -> AnalysisReport:
     """Verdict from per-task response bounds, given in priority order.
 
     A bound past the task's deadline makes the set unschedulable; None (the
@@ -100,7 +71,7 @@ def _report(method: str, by_prio, bounds, bound_value=None) -> AnalysisReport:
             verdict = UNSCHEDULABLE
         responses[task.id] = r if r is not None and r <= task.D else None
     return AnalysisReport(verdict=verdict, method=method,
-                          per_task_response=responses, bound_value=bound_value,
+                          per_task_response=responses,
                           deadlines={task.id: task.D for task in by_prio})
 
 
@@ -139,8 +110,7 @@ def rta_with_flush(ts: TaskSet, policy) -> AnalysisReport:
     f = policy.flush_cost
     by_prio = ts.by_priority()
     charged = f if policy.forbidden(ts) else 0
-    return _report("rta_flush", by_prio, _preemptive_bounds(by_prio, charged),
-                   bound_value=float(f))
+    return _report("rta_flush", by_prio, _preemptive_bounds(by_prio, charged))
 
 
 def blocking_term_nonpreemptive(ts: TaskSet) -> dict[int, int]:

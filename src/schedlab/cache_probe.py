@@ -1,14 +1,15 @@
 """Prime-and-probe cache measurement against scheduled victim jobs.
 
-The attacker fills cache lines with its own data (prime), lets the victim
-run, then measures which lines were evicted (probe).  Timing the probe is
-noisy: each line's evicted/intact reading flips independently with
-probability epsilon.  Knowing when a victim job runs (for instance from
-offset inference) lets the attacker wrap one prime/probe round around
-each job and read off its per-job cache footprint; rounds that miss the
-job's execution window measure only background activity.
+The attacker fills every cache line with its own data (prime), lets the
+victim run, then measures how many lines were evicted (probe).  Timing
+the probe is noisy: each line's evicted/intact reading flips
+independently with probability epsilon.  Knowing when a victim job runs
+(for instance from offset inference) lets the attacker wrap one
+prime/probe round around each job and read off its per-job cache
+footprint.  Nothing else touches the cache, so a round that misses the
+job's execution window sees only the noise.
 
-The footprint estimator inverts the noise: a round that primes m lines of
+The footprint estimator inverts the noise: a round over m lines of
 which k were truly evicted reads an expected (1 - eps) * k + eps * (m - k)
 lines as evicted, so k can be recovered as (observed - eps * m) / (1 - 2 eps)
 for eps < 1/2.  Distinguishing a small set of known activity profiles
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 ATTACKER = 0
 COLD = -1
-BACKGROUND = 1_000_000  # pseudo-id for unattributed cache activity
 
 
 class CacheState:
@@ -34,17 +34,13 @@ class CacheState:
             raise ValueError("num_lines must be positive")
         self.num_lines = num_lines
         self.owner = [COLD] * num_lines
-        self.primed: frozenset | None = None
+        self.primed = False
         self._rng = random.Random(seed)
 
-    def prime(self, lines=None):
-        """Fill the given lines (default: all) with attacker data."""
-        chosen = range(self.num_lines) if lines is None else sorted(set(lines))
-        for line in chosen:
-            if not 0 <= line < self.num_lines:
-                raise ValueError(f"line {line} out of range")
-            self.owner[line] = ATTACKER
-        self.primed = frozenset(chosen)
+    def prime(self):
+        """Fill every line with attacker data."""
+        self.owner = [ATTACKER] * self.num_lines
+        self.primed = True
 
     def victim_touch(self, task_id: int, k: int):
         """The victim claims k distinct lines chosen uniformly at random."""
@@ -55,28 +51,24 @@ class CacheState:
         for line in self._rng.sample(range(self.num_lines), k):
             self.owner[line] = task_id
 
-    def evicted(self) -> int:
-        """True number of primed lines no longer holding attacker data."""
-        if self.primed is None:
-            raise ValueError("probe without a preceding prime")
-        return sum(1 for line in self.primed if self.owner[line] != ATTACKER)
-
     def probe(self, epsilon: float = 0.0) -> int:
         """Measured eviction count; each line's reading flips w.p. epsilon.
 
+        One noise draw per line, from line 0 up, whatever epsilon is.
         Consumes the prime: the next round must prime again.
         """
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.primed is None:
+        if not self.primed:
             raise ValueError("probe without a preceding prime")
+        draw = self._rng.random
         observed = 0
-        for line in sorted(self.primed):
-            hit = self.owner[line] != ATTACKER
-            if self._rng.random() < epsilon:
+        for owner in self.owner:
+            hit = owner != ATTACKER
+            if draw() < epsilon:
                 hit = not hit
             observed += hit
-        self.primed = None
+        self.primed = False
         return observed
 
 
@@ -91,15 +83,14 @@ class ProbeRound:
 
 
 def probe_rounds(trace, victim_id: int, touch_counts, *, num_lines: int = 64,
-                 predicted_starts=None, epsilon: float = 0.0, seed: int = 0,
-                 background: int = 0) -> list:
+                 predicted_starts=None, epsilon: float = 0.0, seed: int = 0) -> list:
     """One prime/probe round per victim job in the trace.
 
     touch_counts[i] is how many lines the i-th victim job touches when it
     executes; it touches them at its first executed slot.  Round i covers
     [predicted_starts[i], predicted_starts[i] + C): a job starting inside
-    is measured, anything else leaves only `background` touches.  Defaults
-    to perfectly aligned rounds (predicted = actual starts).
+    is measured; a round that misses its job sees only the probe's noise.
+    Defaults to perfectly aligned rounds (predicted = actual starts).
     """
     victim_jobs = [j for j in trace.jobs if j.task_id == victim_id]
     if not victim_jobs:
@@ -118,9 +109,9 @@ def probe_rounds(trace, victim_id: int, touch_counts, *, num_lines: int = 64,
         s = predicted_starts[i]
         inside = job.start is not None and s <= job.start < s + wcet
         cache.prime()
-        touched = touch_counts[i] if inside else background
+        touched = touch_counts[i] if inside else 0
         if touched:
-            cache.victim_touch(victim_id if inside else BACKGROUND, touched)
+            cache.victim_touch(victim_id, touched)
         rounds.append(ProbeRound(
             job_id=job.job_id,
             predicted_start=s,

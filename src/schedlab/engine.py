@@ -79,15 +79,6 @@ class Event(NamedTuple):
     job_id: int
 
 
-@dataclass(frozen=True)
-class BusyInterval:
-    start: int
-    end: int  # exclusive
-
-    def __iter__(self):
-        return iter((self.start, self.end))
-
-
 @dataclass
 class ScheduleTrace:
     duration: int
@@ -135,12 +126,10 @@ class EngineContext:
         self.arrivals: list[Job] = []
         self.completed: Job | None = None
 
-    def emit(self, kind: str, task_id: int, job_id: int = -1, tick: int | None = None):
+    def emit(self, kind: str, task_id: int):
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        self._engine.events.append(
-            Event(self.tick if tick is None else tick, kind, task_id, job_id)
-        )
+        self._engine.events.append(Event(self.tick, kind, task_id, -1))
 
     def spawn(self, task_id: int, demand: int, deadline: int, priority: int) -> Job:
         """Release a job outside the periodic stream (policy-managed tasks)."""
@@ -220,8 +209,8 @@ class NonPreemptiveFP(SchedulingPolicy):
 
 
 class _Engine:
-    def __init__(self, ts: TaskSet, policy: SchedulingPolicy, duration: int, seed: int,
-                 abort_on_miss: bool, sporadic_mean_extra):
+    def __init__(self, ts: TaskSet, policy: SchedulingPolicy, duration: int,
+                 seed: int):
         require_valid(ts)
         if duration < 1:
             raise ValueError("duration must be >= 1")
@@ -229,11 +218,9 @@ class _Engine:
         self.policy = policy
         self.duration = duration
         self.seed = seed
-        self.abort_on_miss = abort_on_miss
         base = random.Random(seed)
         self.arrival_rng = random.Random(base.getrandbits(64))
         self.policy_rng = random.Random(base.getrandbits(64))
-        self.sporadic_mean_extra = sporadic_mean_extra
         self.events: list[Event] = []
         self.jobs: list[Job] = []
         self.slots: list[int] = []
@@ -247,15 +234,6 @@ class _Engine:
         # finished or missed jobs are dropped lazily when they reach the top.
         self.deadlines: list[tuple[int, int, Job]] = []
         self.ctx = EngineContext(self)
-
-    def _geometric_extra(self, mean: float) -> int:
-        # Geometric count of failures with success probability 1/(1+mean),
-        # giving E[extra] = mean; inverse-CDF keeps it one draw per gap.
-        if mean <= 0:
-            return 0
-        p = 1.0 / (1.0 + mean)
-        u = 1.0 - self.arrival_rng.random()  # in (0, 1]
-        return int(math.log(u) / math.log(1.0 - p))
 
     def _job_demand(self, task: Task) -> int:
         if task.bcet is not None and task.bcet < task.C:
@@ -288,10 +266,10 @@ class _Engine:
             self.spawn_job(task.id, self._job_demand(task), tick + task.D, task.priority)
             due = tick + task.T
             if task.kind != PERIODIC:
-                mean = self.sporadic_mean_extra
-                if mean is None:
-                    mean = task.T / 2
-                due += self._geometric_extra(mean)
+                # A geometric count of failures with success probability
+                # 1/(1 + T/2) has mean T/2; inverse CDF, one draw per gap.
+                u = 1.0 - self.arrival_rng.random()  # in (0, 1]
+                due += int(math.log(u) / math.log(1.0 - 1.0 / (1.0 + task.T / 2)))
             heapq.heapreplace(releases, (due, index, task))
 
     def run(self) -> ScheduleTrace:
@@ -330,11 +308,6 @@ class _Engine:
                             and j.remaining > 0 and not j.missed]:
                     job.missed = True
                     events.append(Event(tick, "deadline_miss", job.task_id, job.job_id))
-                    if self.abort_on_miss:
-                        ready.remove(job)
-                        if prev_job is job:
-                            prev_job = None
-                            ctx.current = None
             choice = policy.pick(tick, ready, ctx)
             is_job = not (choice is IDLE or choice is FLUSH or isinstance(choice, int))
             if is_job and choice.remaining <= 0:
@@ -411,38 +384,29 @@ def simulate(
     duration: int,
     policy: SchedulingPolicy | None = None,
     seed: int = 0,
-    abort_on_miss: bool = False,
-    sporadic_mean_extra: float | None = None,
 ) -> ScheduleTrace:
     """Run one deterministic simulation and return its trace.
 
-    sporadic_mean_extra sets the mean extra gap (beyond T) for sporadic
-    releases; None defaults to T/2 per task.  Deadline misses are recorded
-    and the job keeps running unless abort_on_miss is set.
+    A sporadic task's next release comes T plus a geometric extra gap with
+    mean T/2 after its last one.  A deadline miss is recorded as an event,
+    and the late job keeps running until it completes.
     """
-    engine = _Engine(
-        ts,
-        policy if policy is not None else VanillaFP(),
-        duration,
-        seed,
-        abort_on_miss,
-        sporadic_mean_extra,
-    )
+    engine = _Engine(ts, policy if policy is not None else VanillaFP(), duration, seed)
     return engine.run()
 
 
-def extract_busy_intervals(trace: ScheduleTrace) -> list[BusyInterval]:
-    """Maximal non-IDLE runs; FLUSH slots occupy the processor, so they count."""
+def extract_busy_intervals(trace: ScheduleTrace) -> list[tuple[int, int]]:
+    """Maximal non-IDLE runs as (start, end) pairs, end exclusive; FLUSH counts."""
     out = []
     begin = None
     for tick, occ in enumerate(trace.slots):
         if occ != IDLE and begin is None:
             begin = tick
         elif occ == IDLE and begin is not None:
-            out.append(BusyInterval(begin, tick))
+            out.append((begin, tick))
             begin = None
     if begin is not None:
-        out.append(BusyInterval(begin, trace.duration))
+        out.append((begin, trace.duration))
     return out
 
 

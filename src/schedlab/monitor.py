@@ -1,7 +1,7 @@
 """Behavioral monitoring: learned activity profiles, and a scan policy
-that escalates its own sampling rate on suspicion.
+that escalates its own sampling rate at scripted alert ticks.
 
-Two layers, loosely coupled:
+Two layers, not coupled: no anomaly flag escalates a scan.
 
 * A learned profile models per-window task activity shares.  Training
   vectors are clustered with incrementally seeded k-means (each new
@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 
 PASSIVE = "passive"
 FINE = "fine"
+RIDGE = 1e-6  # added to the covariance's diagonal
+QUANTILE = 0.99  # of the training scores, the anomaly threshold
 
 
 # --- learned activity profile -------------------------------------------------
@@ -68,12 +70,6 @@ class ActivityProfile:
     cov_inv: np.ndarray
     threshold: float
     sse: float
-    quantile: float
-    ridge: float
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray):
@@ -95,8 +91,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray):
     return centroids, assign, float(d2.min(axis=1).sum())
 
 
-def fit_profile(vectors, k: int, ridge: float = 1e-6,
-                quantile: float = 0.99) -> ActivityProfile:
+def fit_profile(vectors, k: int) -> ActivityProfile:
     """Cluster training vectors and calibrate an anomaly threshold.
 
     Seeding is incremental and deterministic: start from the global mean;
@@ -117,8 +112,6 @@ def fit_profile(vectors, k: int, ridge: float = 1e-6,
         raise ValueError(f"need at least k*d = {k * d} vectors, got {n}")
     if len(np.unique(x, axis=0)) < k:
         raise ValueError("fewer distinct vectors than clusters; degenerate")
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError("quantile must be in (0, 1]")
     centroids = x.mean(axis=0, keepdims=True)
     centroids, assign, sse = _lloyd(x, centroids)
     for _ in range(1, k):
@@ -130,13 +123,12 @@ def fit_profile(vectors, k: int, ridge: float = 1e-6,
         centroids = np.vstack([centroids, x[best]])
         centroids, assign, sse = _lloyd(x, centroids)
     resid = x - centroids[assign]
-    cov = resid.T @ resid / n + ridge * np.eye(d)
+    cov = resid.T @ resid / n + RIDGE * np.eye(d)
     cov_inv = np.linalg.inv(cov)
     prof = ActivityProfile(centroids=centroids, cov_inv=cov_inv,
-                           threshold=0.0, sse=sse, quantile=quantile,
-                           ridge=ridge)
+                           threshold=0.0, sse=sse)
     scores = score_vectors(prof, x)
-    prof.threshold = float(np.quantile(scores, quantile))
+    prof.threshold = float(np.quantile(scores, QUANTILE))
     return prof
 
 

@@ -65,8 +65,7 @@ class Observation:
 
     @classmethod
     def from_trace(cls, trace) -> "Observation":
-        ivals = tuple((iv.start, iv.end) for iv in extract_busy_intervals(trace))
-        return cls(window=trace.duration, busy=ivals)
+        return cls(window=trace.duration, busy=extract_busy_intervals(trace))
 
     def mask(self) -> int:
         m = 0

@@ -55,9 +55,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from schedlab.analysis import SCHEDULABLE, fixed_point, response_time_analysis
+from schedlab.analysis import (INCONCLUSIVE, SCHEDULABLE, AnalysisReport, fixed_point,
+                               response_time_analysis)
 from schedlab.engine import IDLE, SchedulingPolicy
-from schedlab.tasks import TaskSet
+from schedlab.tasks import TaskSet, require_valid
 
 TASK_ONLY = "task_only"
 WITH_IDLE = "with_idle"
@@ -66,6 +67,7 @@ MODES = (TASK_ONLY, WITH_IDLE, FINE_GRAINED)
 
 GUARD_BUDGET = "budget"
 GUARD_NONE = "none"  # unsafe, test-only: shows why the guard exists
+NO_SOUND_TEST = "unguarded_no_sound_test"  # the method an unguarded shuffle reports
 
 _MAX_WINDOW_JOBS = 10_000
 
@@ -209,6 +211,13 @@ class ShuffleFP(SchedulingPolicy):
         self._given = budgets
         self.name = f"shuffle-{mode}"
 
+    def analyze(self, ts):
+        """Plain RTA if guarded; unguarded, a job's delay is unbounded: inconclusive."""
+        if self.guard == GUARD_NONE:
+            require_valid(ts)
+            return AnalysisReport(INCONCLUSIVE, NO_SOUND_TEST)
+        return response_time_analysis(ts)
+
     def attach(self, ts, ctx):
         self.budget = None
         if self.guard == GUARD_BUDGET:
@@ -269,20 +278,17 @@ class ShuffleFP(SchedulingPolicy):
         return k
 
 
-def _slot_seq(trace):
-    return trace.slots if hasattr(trace, "slots") else list(trace)
-
-
 def schedule_entropy(traces, hyperperiod: int | None = None):
     """Shannon entropy (bits) of the occupant per tick offset, plus the mean.
 
-    All traces must share one duration.  When `hyperperiod` is given and
+    traces are schedule traces, read through their `slots`; all must share
+    one duration.  When `hyperperiod` is given and
     divides the duration, the samples at offset o pool slots o, o + H,
     o + 2H, ... across every trace, so a single long trace measures its
     own hyperperiod-to-hyperperiod variability.  At least two samples per
     offset are required.
     """
-    seqs = [_slot_seq(t) for t in traces]
+    seqs = [t.slots for t in traces]
     if not seqs:
         raise ValueError("no traces given")
     duration = len(seqs[0])

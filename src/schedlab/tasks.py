@@ -16,6 +16,7 @@ SPORADIC = "sporadic"
 
 # LCM values past this no longer fit a 64-bit signed tick counter.
 MAX_TICK = 2**63 - 1
+MAX_TRIES = 200  # fresh draws generate_taskset makes before it gives up
 
 
 @dataclass(frozen=True)
@@ -157,9 +158,7 @@ def generate_taskset(
     target_u: float,
     period_choices,
     seed: int,
-    name: str | None = None,
     tol: float = 0.01,
-    max_tries: int = 200,
 ) -> TaskSet:
     """Draw n periodic tasks whose total utilization lands within tol of target_u.
 
@@ -181,7 +180,7 @@ def generate_taskset(
     if not periods:
         raise ValueError("period_choices must be non-empty")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         shares = _uunifast(n, target_u, rng)
         ts_periods = [rng.choice(periods) for _ in range(n)]
         costs = [max(1, round(u * t)) for u, t in zip(shares, ts_periods)]
@@ -213,9 +212,9 @@ def generate_taskset(
             )
             return TaskSet(
                 tasks=rate_monotonic(tasks),
-                name=name or f"gen-n{n}-u{target_u:g}-s{seed}",
+                name=f"gen-n{n}-u{target_u:g}-s{seed}",
             )
     raise ValueError(
-        f"could not hit U={target_u} within tol={tol} after {max_tries} draws "
+        f"could not hit U={target_u} within tol={tol} after {MAX_TRIES} draws "
         f"(periods {periods})"
     )

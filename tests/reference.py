@@ -7,6 +7,7 @@ dispatching over integer ticks; tests freeze its outputs as expected values.
 """
 
 IDLE = -1
+FLUSH = -2
 
 
 def ref_fp_slots(tasks, duration):
@@ -93,3 +94,54 @@ def ref_rm_priorities(tasks):
     for rank, i in enumerate(order):
         prios[i] = rank + 1
     return prios
+
+
+def ref_dispatch(jobs, duration, preemptive=True, forbidden=(), flush_cost=0):
+    """Fixed-priority dispatch of given jobs, one tick at a time.
+
+    jobs: (release, demand, priority, task) tuples, listed by job id, so in
+    release order.  Among released unfinished jobs the least (priority,
+    release, job id) runs.  Non-preemptive dispatch keeps the job that ran
+    the previous tick until it finishes.  A job past its deadline keeps
+    running.  forbidden holds (src, dst) task pairs: a job of dst about to
+    run while src has run since the last scrub (idle time clears nothing)
+    waits for a scrub of flush_cost FLUSH ticks that nothing preempts; a
+    free scrub (flush_cost 0) takes no tick.  Returns the occupant (task,
+    IDLE or FLUSH) and the job id (-1 when no job runs) of each tick.
+    """
+    remaining = [demand for _, demand, _, _ in jobs]
+    released = 0
+    pending = []  # ids of released unfinished jobs
+    running = None  # the job that ran the previous tick, while unfinished
+    residue = set()
+    scrub_left = 0
+    occupants, job_ids = [], []
+    for tick in range(duration):
+        while released < len(jobs) and jobs[released][0] <= tick:
+            pending.append(released)
+            released += 1
+        occ, job = IDLE, None
+        if scrub_left:
+            occ = FLUSH
+            scrub_left -= 1
+        elif not preemptive and running is not None:
+            job = running
+        elif pending:
+            job = min(pending, key=lambda j: (jobs[j][2], jobs[j][0], j))
+            if any((src, jobs[job][3]) in forbidden for src in residue):
+                residue.clear()
+                if flush_cost:
+                    occ, job = FLUSH, None
+                    scrub_left = flush_cost - 1
+        running = None
+        if job is not None:
+            occ = jobs[job][3]
+            residue.add(occ)
+            remaining[job] -= 1
+            if remaining[job]:
+                running = job
+            else:
+                pending.remove(job)
+        occupants.append(occ)
+        job_ids.append(-1 if job is None else job)
+    return occupants, job_ids

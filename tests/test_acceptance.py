@@ -135,10 +135,7 @@ def test_c2_offset_inference_fidelity(acceptance):
             # consistency: every candidate re-simulates to the observation
             for cand in result.candidates:
                 relabeled = with_offsets(ts, result.task_ids, cand)
-                busy = tuple(
-                    (iv.start, iv.end)
-                    for iv in extract_busy_intervals(simulate(relabeled, h))
-                )
+                busy = tuple(extract_busy_intervals(simulate(relabeled, h)))
                 assert busy == obs.busy, f"inconsistent candidate: {ts.name}"
             space = math.prod(t.T for t in ts)
             if space <= oracle_cap:

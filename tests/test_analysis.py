@@ -20,7 +20,6 @@ from schedlab.analysis import (
     response_time_analysis,
     rta_nonpreemptive,
     rta_with_flush,
-    utilization_bound_test,
 )
 from schedlab.engine import FLUSH, NonPreemptiveFP, simulate
 from schedlab.flush import FlushFP, SecurityPolicy
@@ -35,41 +34,6 @@ def rm_set(*ct, name="ts"):
 FLAGSHIP = rm_set((1, 4), (2, 6), (3, 12), name="flagship")
 
 
-class TestUtilizationBound:
-    def test_single_full_task_schedulable(self):
-        report = utilization_bound_test(rm_set((5, 5)))
-        assert report.verdict == SCHEDULABLE
-        assert report.bound_value == pytest.approx(1.0)
-
-    def test_two_tasks_above_bound_inconclusive(self):
-        ts = rm_set((25, 50), (33, 100))  # U = 0.83 > 2(sqrt(2)-1)
-        report = utilization_bound_test(ts)
-        assert report.verdict == INCONCLUSIVE
-        assert report.bound_value == pytest.approx(2 * (2**0.5 - 1))
-        # ... yet the set actually meets deadlines: RTA gives R = (25, 83).
-        rta = response_time_analysis(ts)
-        assert rta.verdict == SCHEDULABLE
-        assert rta.per_task_response == {1: 25, 2: 83}
-
-    def test_overload_unschedulable(self):
-        assert utilization_bound_test(rm_set((3, 5), (3, 5))).verdict == UNSCHEDULABLE
-
-    def test_rejects_sporadic(self):
-        ts = TaskSet((Task(id=1, C=1, T=5, kind="sporadic", priority=1),))
-        with pytest.raises(ValueError, match="periodic"):
-            utilization_bound_test(ts)
-
-    def test_rejects_constrained_deadlines(self):
-        ts = TaskSet((Task(id=1, C=1, T=5, D=3, priority=1),))
-        with pytest.raises(ValueError, match="implicit deadlines"):
-            utilization_bound_test(ts)
-
-    def test_rejects_non_rm_priorities(self):
-        ts = TaskSet((Task(id=1, C=1, T=8, priority=1), Task(id=2, C=1, T=4, priority=2)))
-        with pytest.raises(ValueError, match="rate-monotonic"):
-            utilization_bound_test(ts)
-
-
 class TestResponseTimeAnalysis:
     def test_flagship_fixed_points(self):
         report = response_time_analysis(FLAGSHIP)
@@ -79,6 +43,12 @@ class TestResponseTimeAnalysis:
     def test_single_task(self):
         report = response_time_analysis(rm_set((3, 10)))
         assert report.per_task_response == {1: 3}
+
+    def test_set_above_the_liu_layland_bound_can_pass(self):
+        ts = rm_set((25, 50), (33, 100))  # U = 0.83 > 2(sqrt(2)-1)
+        report = response_time_analysis(ts)
+        assert report.verdict == SCHEDULABLE
+        assert report.per_task_response == {1: 25, 2: 83}
 
     def test_overload_flags_low_priority_task(self):
         report = response_time_analysis(rm_set((3, 5), (3, 5)))

@@ -1,5 +1,7 @@
 """Prime/probe cache channel: state machine, noise statistics, per-job rounds."""
 
+import random
+
 import pytest
 
 from schedlab import Task, TaskSet, VanillaFP, simulate
@@ -19,25 +21,14 @@ from schedlab.cache_probe import (
 def test_prime_then_clean_probe_sees_nothing():
     c = CacheState(16)
     c.prime()
-    assert c.evicted() == 0
-    assert c.probe() == 0
+    assert c.probe(0.0) == 0
 
 
 def test_probe_counts_victim_evictions_exactly_without_noise():
     c = CacheState(16, seed=1)
     c.prime()
     c.victim_touch(task_id=3, k=5)
-    assert c.evicted() == 5
-    assert c.probe() == 5
-
-
-def test_subset_prime_counts_only_primed_lines():
-    c = CacheState(8)
-    c.prime(lines=[0, 1, 2])
-    c.owner[5] = 9  # eviction outside the primed set is invisible
-    assert c.evicted() == 0
-    c.owner[1] = 9
-    assert c.evicted() == 1
+    assert c.probe(0.0) == 5
 
 
 def test_probe_before_prime_is_a_protocol_error():
@@ -56,8 +47,6 @@ def test_touch_validation():
         c.victim_touch(1, 9)
     with pytest.raises(ValueError, match="positive"):
         c.victim_touch(0, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        c.prime(lines=[8])
     with pytest.raises(ValueError, match="epsilon"):
         c.prime()
         c.probe(epsilon=1.5)
@@ -70,18 +59,13 @@ def test_cold_cache_initial_state():
     assert c.owner == [ATTACKER] * 4
 
 
-def test_subset_prime_eviction_mean_matches_hypergeometric():
-    # Prime 16 of 64 lines, victim touches 8 of 64: evictions among the
-    # primed subset follow a hypergeometric law with mean 8 * 16 / 64 = 2.
-    c = CacheState(64, seed=7)
-    total = 0
-    trials = 10_000
-    for _ in range(trials):
-        c.prime(lines=range(16))
-        c.victim_touch(1, 8)
-        total += c.probe()
-        c.owner = [COLD] * 64
-    assert abs(total / trials - 2.0) < 0.05
+def test_probe_draws_once_per_line_in_line_order():
+    c = CacheState(8, seed=5)
+    c.prime()
+    c.owner[2] = c.owner[6] = 3
+    rng = random.Random(5)
+    want = sum((line in (2, 6)) != (rng.random() < 0.4) for line in range(8))
+    assert c.probe(0.4) == want
 
 
 def test_noisy_probe_mean_matches_flip_model():
@@ -147,15 +131,7 @@ def test_misaligned_rounds_measure_background_only():
     rounds = probe_rounds(tr, victim_id=2, touch_counts=[8] * 5,
                           predicted_starts=[90, 91, 92, 93, 94])
     assert all(not r.in_window for r in rounds)
-    assert all(r.observed == 0 for r in rounds)
-
-
-def test_background_touches_show_up_in_missed_rounds():
-    _, tr = victim_trace()
-    rounds = probe_rounds(tr, victim_id=2, touch_counts=[8] * 5,
-                          predicted_starts=[90] * 5, background=3)
-    assert all(r.true_touches == 3 for r in rounds)
-    assert all(r.observed == 3 for r in rounds)
+    assert all(r.true_touches == 0 and r.observed == 0 for r in rounds)
 
 
 def test_alternating_profiles_classified_reliably_under_noise():

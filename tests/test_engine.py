@@ -109,11 +109,11 @@ class TestVanillaLayouts:
 class TestBusyIntervals:
     def test_two_task_intervals(self):
         trace = simulate(rm_set((1, 4), (2, 6)), 12)
-        assert [tuple(b) for b in extract_busy_intervals(trace)] == [(0, 3), (4, 5), (6, 9)]
+        assert extract_busy_intervals(trace) == [(0, 3), (4, 5), (6, 9)]
 
     def test_single_task_intervals(self):
         trace = simulate(rm_set((2, 5)), 10)
-        assert [tuple(b) for b in extract_busy_intervals(trace)] == [(0, 2), (5, 7)]
+        assert extract_busy_intervals(trace) == [(0, 2), (5, 7)]
 
     def test_all_idle(self):
         ts = TaskSet((Task(id=1, C=1, T=5, phase=50, priority=1),))
@@ -124,12 +124,10 @@ class TestBusyIntervals:
             ts = generate_taskset(3, 0.55, [4, 5, 6, 8, 10], seed=seed)
             trace = simulate(ts, 40)
             covered = set()
-            for b in extract_busy_intervals(trace):
-                covered.update(range(b.start, b.end))
+            for start, end in extract_busy_intervals(trace):
+                covered.update(range(start, end))
             assert covered == {i for i, s in enumerate(trace.slots) if s != IDLE}
-            assert ref_busy_intervals(trace.slots) == [
-                tuple(b) for b in extract_busy_intervals(trace)
-            ]
+            assert ref_busy_intervals(trace.slots) == extract_busy_intervals(trace)
 
 
 class TestDeadlinesAndChecking:
@@ -153,13 +151,6 @@ class TestDeadlinesAndChecking:
         first_t2 = next(j for j in trace.jobs if j.task_id == 2)
         assert first_t2.completion is not None  # finished, just late
         assert first_t2.completion > first_t2.absolute_deadline
-
-    def test_abort_on_miss_drops_job(self):
-        ts = rm_set((3, 5), (3, 5))
-        trace = simulate(ts, 10, abort_on_miss=True)
-        first_t2 = next(j for j in trace.jobs if j.task_id == 2)
-        assert first_t2.completion is None
-        assert sum(1 for s in trace.slot_jobs if s == first_t2.job_id) < 3
 
     def test_corrupted_trace_is_flagged(self):
         trace = simulate(FLAGSHIP, 12)
@@ -200,13 +191,13 @@ class TestStochasticModels:
             gaps = [b - a for a, b in zip(rel, rel[1:])]
             assert gaps and min(gaps) >= t
 
-    def test_sporadic_mean_extra_tracks_parameter(self):
-        ts = TaskSet((Task(id=1, C=1, T=5, kind="sporadic", priority=1),))
-        trace = simulate(ts, 40000, seed=11, sporadic_mean_extra=4.0)
+    def test_sporadic_extra_gap_averages_half_the_period(self):
+        ts = TaskSet((Task(id=1, C=1, T=8, kind="sporadic", priority=1),))
+        trace = simulate(ts, 40000, seed=11)
         rel = [e.tick for e in trace.events if e.kind == "release"]
-        extras = [b - a - 5 for a, b in zip(rel, rel[1:])]
+        extras = [b - a - 8 for a, b in zip(rel, rel[1:])]
         mean = sum(extras) / len(extras)
-        assert 3.0 <= mean <= 5.0  # CLT window around the configured 4.0
+        assert 3.0 <= mean <= 5.0  # CLT window around T/2 = 4
 
     def test_variable_execution_within_bounds(self):
         ts = TaskSet((Task(id=1, C=5, T=10, bcet=2, priority=1),))

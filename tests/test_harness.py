@@ -657,6 +657,22 @@ def test_cli_analyze_charges_no_scrub_without_a_forbidden_pair(tmp_path, capsys)
     assert "verdict: schedulable" in out
 
 
+def test_cli_unguarded_shuffle_gets_no_verdict(tmp_path, capsys):
+    # With its guard off veiled.scn misses deadlines, so plain RTA's
+    # schedulable verdict would not hold; no test is sound for it.
+    veiled = HIDDEN.with_name("veiled.scn").read_text()
+    text = (veiled.replace("mode = with_idle", "mode = fine_grained")
+            .replace("guard = budget", "guard = none"))
+    assert text.count("fine_grained") == text.count("guard = none") == 1
+    path = _write(tmp_path, text)
+    assert main(["analyze", path]) == 1
+    out = capsys.readouterr().out
+    assert "method: unguarded_no_sound_test\nverdict: inconclusive\n" in out
+    assert "task " not in out
+    assert main(["simulate", "--runs", "5", path]) == 1
+    assert "deadline misses: 0" not in capsys.readouterr().out
+
+
 def test_cli_simulate_ok(tmp_path, capsys):
     path = _write(tmp_path, VANILLA)
     assert main(["simulate", path]) == 0

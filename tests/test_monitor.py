@@ -78,7 +78,7 @@ def test_squared_error_never_increases_with_k():
 def test_threshold_is_a_training_quantile():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 2)) * 0.05 + 0.4
-    prof = fit_profile(x, k=1, quantile=0.99)
+    prof = fit_profile(x, k=1)
     assert flag_anomalies(prof, x).mean() <= 0.011
 
 
@@ -103,9 +103,6 @@ def test_profile_validation_errors():
         fit_profile(x, k=0)
     with pytest.raises(ValueError, match="2-d"):
         fit_profile(np.zeros(5), k=1)
-    with pytest.raises(ValueError, match="quantile"):
-        fit_profile(np.random.default_rng(0).uniform(size=(10, 2)), k=1,
-                    quantile=1.5)
     prof = fit_profile(np.random.default_rng(0).uniform(size=(10, 2)), k=1)
     with pytest.raises(ValueError, match="features"):
         score_vectors(prof, np.zeros((1, 3)))

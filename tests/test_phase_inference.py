@@ -253,8 +253,7 @@ def test_candidates_replay_to_the_observation():
         for cand in result.candidates:
             replay = TaskSet(tasks=tuple(
                 replace(t, phase=p) for t, p in zip(truth, cand)))
-            busy = tuple((iv.start, iv.end) for iv in
-                         extract_busy_intervals(simulate(replay, window)))
+            busy = tuple(extract_busy_intervals(simulate(replay, window)))
             assert busy == obs.busy, (truth, window, cand)
         if math.prod(t.T for t in truth) <= 400:
             assert result.candidates == brute_force_offsets(truth, obs)

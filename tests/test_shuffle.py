@@ -7,6 +7,7 @@ implementation existed; see the inline derivation notes.
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,11 +22,13 @@ from schedlab import (
     hyperperiod,
     simulate,
 )
+from schedlab.analysis import INCONCLUSIVE, SCHEDULABLE
 from schedlab.shuffle import (
     FINE_GRAINED,
     GUARD_BUDGET,
     GUARD_NONE,
     MODES,
+    NO_SOUND_TEST,
     TASK_ONLY,
     WITH_IDLE,
     InversionBudget,
@@ -258,6 +261,17 @@ def test_unguarded_idling_causes_misses():
     assert missed
 
 
+def test_only_the_guarded_shuffle_gets_a_verdict():
+    ts = pair_5_10()
+    guarded = ShuffleFP(mode=WITH_IDLE).analyze(ts)
+    assert guarded.verdict == SCHEDULABLE and guarded.method == "rta"
+    for mode in MODES:
+        rep = ShuffleFP(mode=mode, guard=GUARD_NONE).analyze(ts)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.method == NO_SOUND_TEST
+        assert rep.per_task_response == {} and rep.deadlines == {}
+
+
 def test_guarded_run_uses_inversion():
     # With budgets (3, 1) some seed must schedule tau2 (or idle) while
     # tau1 is pending: compare against the strict-priority reference.
@@ -415,25 +429,30 @@ def test_pick_matches_the_per_candidate_rule_on_random_ready_lists():
 
 # --- entropy metric -------------------------------------------------------
 
+def stand_ins(seqs):
+    """Stand-ins for schedule traces: schedule_entropy reads only slots."""
+    return [SimpleNamespace(slots=s) for s in seqs]
+
+
 def test_entropy_two_traces_frozen():
-    per, mean = schedule_entropy([[0, 1], [0, 2]])
+    per, mean = schedule_entropy(stand_ins([[0, 1], [0, 2]]))
     assert per == [0.0, 1.0]
     assert mean == 0.5
 
 
 def test_entropy_identical_traces_is_zero():
-    per, mean = schedule_entropy([[1, 2, -1], [1, 2, -1]])
+    per, mean = schedule_entropy(stand_ins([[1, 2, -1], [1, 2, -1]]))
     assert per == [0.0, 0.0, 0.0] and mean == 0.0
 
 
 def test_entropy_single_trace_folded():
-    per, mean = schedule_entropy([[0, 1, 0, 2]], hyperperiod=2)
+    per, mean = schedule_entropy(stand_ins([[0, 1, 0, 2]]), hyperperiod=2)
     assert per == [0.0, 1.0]
     assert mean == 0.5
 
 
 def test_entropy_four_way_split_is_two_bits():
-    per, _ = schedule_entropy([[1], [2], [3], [4]])
+    per, _ = schedule_entropy(stand_ins([[1], [2], [3], [4]]))
     assert per == [2.0]
 
 
@@ -446,17 +465,17 @@ def test_entropy_accepts_traces():
 
 def test_entropy_rejects_mismatched_durations():
     with pytest.raises(ValueError, match="mismatched"):
-        schedule_entropy([[0, 1], [0, 1, 2]])
+        schedule_entropy(stand_ins([[0, 1], [0, 1, 2]]))
 
 
 def test_entropy_rejects_nondividing_hyperperiod():
     with pytest.raises(ValueError, match="divide"):
-        schedule_entropy([[0, 1, 2, 3]], hyperperiod=3)
+        schedule_entropy(stand_ins([[0, 1, 2, 3]]), hyperperiod=3)
 
 
 def test_entropy_rejects_single_sample():
     with pytest.raises(ValueError, match="two samples"):
-        schedule_entropy([[0, 1, 2]])
+        schedule_entropy(stand_ins([[0, 1, 2]]))
 
 
 def test_entropy_ordering_on_ensemble():

@@ -7,6 +7,9 @@ tasks up to U = 1, with random phases and security levels.  The same draws
 are then varied over the rest of the task model: execution times below C
 (bcet), deadlines shorter than periods, sporadic arrivals (T is the
 minimum gap), and all three together.
+
+The same draws also check the engine's dispatch itself, slot for slot,
+against a tick-by-tick reference that shares no code with it.
 """
 
 import math
@@ -21,6 +24,8 @@ from schedlab.flush import FlushFP, SecurityPolicy
 from schedlab.monitor import MonitorPolicy
 from schedlab.shuffle import MODES, ShuffleFP
 from schedlab.tasks import SPORADIC, TaskSet, generate_taskset
+
+from reference import ref_dispatch
 
 POOL = (4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40)  # every hyperperiod divides 120
 SETS = 600
@@ -105,3 +110,30 @@ def test_schedulable_verdict_holds_in_simulation(name):
 def test_schedulable_verdict_holds_over_the_task_model(name, variant):
     admitted = _admitted_without_miss(name, _cases(VARIANT_SETS, variant))
     assert admitted >= 20, (name, variant, admitted)
+
+
+DISPATCH = {
+    "vanilla": lambda ts, sec: (VanillaFP(), {}),
+    "nonpreemptive": lambda ts, sec: (NonPreemptiveFP(), {"preemptive": False}),
+    "flush": lambda ts, sec: (FlushFP(sec), {"forbidden": sec.forbidden(ts),
+                                              "flush_cost": sec.flush_cost}),
+}
+
+
+@pytest.mark.parametrize("variant", (None, *VARIANTS))
+@pytest.mark.parametrize("name", sorted(DISPATCH))
+def test_dispatch_matches_the_reference(name, variant):
+    # The reference gets the engine's released jobs as plain tuples, so
+    # bcet draws and sporadic gaps need no shared randomness.
+    checked = 0
+    for k, (ts, sec) in _cases(200, variant):
+        policy, kw = DISPATCH[name](ts, sec)
+        duration = max(t.phase for t in ts) + 2 * math.lcm(*(t.T for t in ts))
+        trace = simulate(ts, duration, policy=policy, seed=k)
+        assert [j.job_id for j in trace.jobs] == list(range(len(trace.jobs)))
+        jobs = [(j.release, j.exec_demand, j.priority, j.task_id)
+                for j in trace.jobs]
+        assert ref_dispatch(jobs, duration, **kw) == (trace.slots, trace.slot_jobs), (
+            name, variant, k)
+        checked += 1
+    assert checked >= 150
