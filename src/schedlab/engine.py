@@ -6,12 +6,16 @@ The engine advances from decision point to decision point: at each one it
 asks the policy to pick an occupant, then to hold it: to say how many
 ticks that choice stands (at most until the next release, the running
 job's completion, the earliest pending deadline or the end of the run)
-and book what those ticks cost the policy.  The engine books the slots in
-one step.  A hold stands for exactly the picks the policy would have made
-on the ticks it covers, so the trace is the one a tick-by-tick loop would
-produce; the default hold is one tick.  All randomness (sporadic gaps,
-variable demands, policy coin flips) derives from the single seed passed
-to simulate(), so a trace is reproducible bit for bit.
+and book what those ticks cost the policy.  The engine records each hold
+as one row of the trace's `runs`: (start, length, occupant, job id).  The
+per-tick views `slots` and `slot_jobs` are built from those rows only when
+first read.  A hold stands for exactly the picks the policy would have
+made on the ticks it covers, so the trace is the one a tick-by-tick loop
+would produce; the default hold is one tick.  All randomness (sporadic
+gaps, variable demands, policy coin flips) derives from the single seed
+passed to simulate(), so a trace is reproducible bit for bit.  The two
+random streams are built on first use, so a run that draws nothing
+builds none.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ import bisect
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from schedlab.analysis import AnalysisReport, response_time_analysis, rta_nonpreemptive
 from schedlab.tasks import PERIODIC, Task, TaskSet, require_valid
@@ -43,7 +49,7 @@ EVENT_KINDS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One released instance of a task.
 
@@ -79,15 +85,49 @@ class Event(NamedTuple):
     job_id: int
 
 
+_new_event = tuple.__new__  # builds an Event without its Python-level __new__
+
+
 @dataclass
 class ScheduleTrace:
+    """One run: a row per hold in `runs`, events, jobs, seed and policy label.
+
+    runs rows are (start, length, occupant, job id): the occupant is a task
+    id, IDLE or FLUSH, and the job id is -1 for IDLE and FLUSH.  They tile
+    [0, duration) in order.  slots and slot_jobs are the per-tick views of
+    the same rows, built on first read and cached, so a caller may edit
+    them (check_trace reads them) while runs keeps what the engine booked.
+    """
+
     duration: int
-    slots: list[int]  # occupant per tick: task id, IDLE, or FLUSH
-    slot_jobs: list[int]  # job id per tick, -1 for IDLE/FLUSH
+    runs: list[tuple[int, int, int, int]]
     events: list[Event]
     jobs: list[Job]
     seed: int
     policy: str
+
+    @cached_property
+    def slots(self) -> list[int]:
+        """Occupant per tick: task id, IDLE, or FLUSH."""
+        out = []
+        for _, length, occ, _ in self.runs:
+            out += [occ] * length
+        return out
+
+    @cached_property
+    def slot_jobs(self) -> list[int]:
+        """Job id per tick, -1 for IDLE/FLUSH."""
+        out = []
+        for _, length, _, jid in self.runs:
+            out += [jid] * length
+        return out
+
+    def occupancy(self) -> Counter:
+        """Ticks held by each occupant (task id, IDLE or FLUSH)."""
+        ticks = Counter()
+        for _, length, occ, _ in self.runs:
+            ticks[occ] += length
+        return ticks
 
     @property
     def misses(self) -> list[Event]:
@@ -95,8 +135,9 @@ class ScheduleTrace:
 
     def slots_csv(self) -> str:
         lines = ["tick,occupant,job_id"]
-        for tick, (occ, jid) in enumerate(zip(self.slots, self.slot_jobs)):
-            lines.append(f"{tick},{occ},{jid}")
+        for start, length, occ, jid in self.runs:
+            row = f",{occ},{jid}"
+            lines += [f"{tick}{row}" for tick in range(start, start + length)]
         return "\n".join(lines) + "\n"
 
     def events_csv(self) -> str:
@@ -114,17 +155,22 @@ class EngineContext:
     job is released, completes or reaches its deadline.
     current: the job that occupied the previous tick, if it is still
     incomplete (None after idle, flush, or a completion).
-    arrivals: jobs released at this tick boundary.
+    arrivals: jobs released at this tick boundary (an empty tuple when
+    there are none).
     completed: the job whose last slot was the previous tick, if any.
+    rng: the policies' random stream, built on first use.
     """
 
     def __init__(self, engine):
         self._engine = engine
-        self.rng: random.Random = engine.policy_rng
         self.tick: int = 0
         self.current: Job | None = None
-        self.arrivals: list[Job] = []
+        self.arrivals: Sequence[Job] = ()
         self.completed: Job | None = None
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return self._engine.policy_rng
 
     def emit(self, kind: str, task_id: int):
         if kind not in EVENT_KINDS:
@@ -208,6 +254,15 @@ class NonPreemptiveFP(SchedulingPolicy):
         return limit
 
 
+def _release_spec(t: Task) -> tuple:
+    """What releasing a job of t reads: id, C, the low end of a variable
+    demand (None if fixed), D, priority, T, and the log term of a sporadic
+    task's geometric gap (None if periodic)."""
+    low = t.bcet if t.bcet is not None and t.bcet < t.C else None
+    gap_log = None if t.kind == PERIODIC else math.log(1.0 - 1.0 / (1.0 + t.T / 2))
+    return t.id, t.C, low, t.D, t.priority, t.T, gap_log
+
+
 class _Engine:
     def __init__(self, ts: TaskSet, policy: SchedulingPolicy, duration: int,
                  seed: int):
@@ -218,105 +273,115 @@ class _Engine:
         self.policy = policy
         self.duration = duration
         self.seed = seed
-        base = random.Random(seed)
-        self.arrival_rng = random.Random(base.getrandbits(64))
-        self.policy_rng = random.Random(base.getrandbits(64))
         self.events: list[Event] = []
-        self.jobs: list[Job] = []
-        self.slots: list[int] = []
-        self.slot_jobs: list[int] = []
+        self.jobs: list[Job] = []  # a job's id is its index here
         self.ready: list[Job] = []  # sorted by Job.sort_key
-        self.job_counter = 0
-        # (due tick, index in ts, task) for every task the engine releases;
-        # popping it releases one tick's jobs in task-set order.
-        self.releases: list[tuple[int, int, Task]] = []
         # (absolute deadline, job id, job) of every released job; entries of
         # finished or missed jobs are dropped lazily when they reach the top.
         self.deadlines: list[tuple[int, int, Job]] = []
         self.ctx = EngineContext(self)
 
-    def _job_demand(self, task: Task) -> int:
-        if task.bcet is not None and task.bcet < task.C:
-            return self.arrival_rng.randint(task.bcet, task.C)
-        return task.C
+    @cached_property
+    def _stream_seeds(self) -> tuple[int, int]:
+        base = random.Random(self.seed)
+        return base.getrandbits(64), base.getrandbits(64)
+
+    @cached_property
+    def arrival_rng(self) -> random.Random:
+        """Sporadic gaps and variable demands."""
+        return random.Random(self._stream_seeds[0])
+
+    @cached_property
+    def policy_rng(self) -> random.Random:
+        return random.Random(self._stream_seeds[1])
 
     def spawn_job(self, task_id: int, demand: int, deadline: int, priority: int) -> Job:
         tick = self.ctx.tick
-        job = Job(
-            task_id=task_id,
-            job_id=self.job_counter,
-            release=tick,
-            absolute_deadline=deadline,
-            exec_demand=demand,
-            remaining=demand,
-            priority=priority,
-        )
-        self.job_counter += 1
+        job_id = len(self.jobs)
+        job = Job(task_id, job_id, tick, deadline, demand, demand, priority)
         self.jobs.append(job)
         bisect.insort(self.ready, job, key=_SORT_KEY)
-        heapq.heappush(self.deadlines, (deadline, job.job_id, job))
-        self.events.append(Event(tick, "release", task_id, job.job_id))
-        self.ctx.arrivals.append(job)
+        heapq.heappush(self.deadlines, (deadline, job_id, job))
+        self.events.append(_new_event(Event, (tick, "release", task_id, job_id)))
+        self.ctx.arrivals = [*self.ctx.arrivals, job]
         return job
-
-    def _release_due(self, tick: int) -> None:
-        releases = self.releases
-        while releases and releases[0][0] == tick:
-            _, index, task = releases[0]
-            self.spawn_job(task.id, self._job_demand(task), tick + task.D, task.priority)
-            due = tick + task.T
-            if task.kind != PERIODIC:
-                # A geometric count of failures with success probability
-                # 1/(1 + T/2) has mean T/2; inverse CDF, one draw per gap.
-                u = 1.0 - self.arrival_rng.random()  # in (0, 1]
-                due += int(math.log(u) / math.log(1.0 - 1.0 / (1.0 + task.T / 2)))
-            heapq.heapreplace(releases, (due, index, task))
 
     def run(self) -> ScheduleTrace:
         policy = self.policy
         ctx = self.ctx
         policy.attach(self.ts, ctx)
         managed = policy.managed_task_ids()
-        releases = self.releases = [(t.phase, i, t) for i, t in enumerate(self.ts)
-                                    if t.id not in managed]
+        # (due tick, index in ts, release spec) for every task the engine
+        # releases; popping it releases one tick's jobs in task-set order.
+        releases = [(t.phase, i, _release_spec(t)) for i, t in enumerate(self.ts)
+                    if t.id not in managed]
         heapq.heapify(releases)
+        duration = self.duration
+        next_release = releases[0][0] if releases else duration
         deadlines = self.deadlines
         ready = self.ready
-        events = self.events
-        slots = self.slots
-        slot_jobs = self.slot_jobs
-        duration = self.duration
+        jobs = self.jobs
+        runs = []
+        pick = policy.pick
+        hold = policy.hold
+        emit = self.events.append
+        insort, bisect_left = bisect.insort, bisect.bisect_left
+        heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         prev_job: Job | None = None  # occupant of the previous tick (jobs only)
         prev_occ = IDLE
         deadline = None  # earliest pending deadline after the previous decision
         tick = 0
         while tick < duration:
             ctx.tick = tick
-            ctx.arrivals = []
             ctx.completed = None
             if prev_job is not None and prev_job.remaining == 0:
                 prev_job.completion = tick
-                events.append(Event(tick, "complete", prev_job.task_id, prev_job.job_id))
-                ready.remove(prev_job)
+                emit(_new_event(Event, (tick, "complete", prev_job.task_id, prev_job.job_id)))
+                i = bisect_left(ready, prev_job.sort_key, key=_SORT_KEY)
+                if i == len(ready) or ready[i] is not prev_job:
+                    raise RuntimeError("policy picked a job that is not in ready")
+                del ready[i]
                 ctx.completed = prev_job
                 prev_job = None
             ctx.current = prev_job
-            if releases and releases[0][0] == tick:
-                self._release_due(tick)
+            if next_release == tick:
+                arrivals = []
+                while releases[0][0] == tick:
+                    _, index, spec = releases[0]
+                    task_id, demand, low, rel_deadline, priority, period, gap_log = spec
+                    if low is not None:
+                        demand = self.arrival_rng.randint(low, demand)
+                    job_id = len(jobs)
+                    job = Job(task_id, job_id, tick, tick + rel_deadline, demand, demand,
+                              priority)
+                    jobs.append(job)
+                    insort(ready, job, key=_SORT_KEY)
+                    heappush(deadlines, (tick + rel_deadline, job_id, job))
+                    emit(_new_event(Event, (tick, "release", task_id, job_id)))
+                    arrivals.append(job)
+                    due = tick + period
+                    if gap_log is not None:
+                        # A geometric count of failures with success probability
+                        # 1/(1 + T/2) has mean T/2; inverse CDF, one draw per gap.
+                        u = 1.0 - self.arrival_rng.random()  # in (0, 1]
+                        due += int(math.log(u) / gap_log)
+                    heapreplace(releases, (due, index, spec))
+                next_release = releases[0][0]
+                ctx.arrivals = arrivals
+            else:
+                ctx.arrivals = ()
             if deadline == tick:
                 for job in [j for j in ready if j.absolute_deadline == tick
                             and j.remaining > 0 and not j.missed]:
                     job.missed = True
-                    events.append(Event(tick, "deadline_miss", job.task_id, job.job_id))
-            choice = policy.pick(tick, ready, ctx)
-            is_job = not (choice is IDLE or choice is FLUSH or isinstance(choice, int))
+                    emit(_new_event(Event, (tick, "deadline_miss", job.task_id, job.job_id)))
+            choice = pick(tick, ready, ctx)
+            is_job = choice.__class__ is Job
             if is_job and choice.remaining <= 0:
                 raise RuntimeError("policy picked a finished job")
             # Decision points: the next release, the earliest pending
             # deadline, the chosen job's completion and the end of the run.
-            limit = duration - tick
-            if releases and releases[0][0] - tick < limit:
-                limit = releases[0][0] - tick
+            limit = (next_release if next_release < duration else duration) - tick
             # Drop finished and missed jobs' entries, and deadlines no tick
             # will check: those at or before this one, which a policy's own
             # spawn in pick() may have set.
@@ -326,57 +391,52 @@ class _Engine:
                     if deadline - tick < limit:
                         limit = deadline - tick
                     break
-                heapq.heappop(deadlines)
+                heappop(deadlines)
             else:
                 deadline = None
             if is_job and choice.remaining < limit:
                 limit = choice.remaining
-            k = policy.hold(tick, ready, ctx, choice, limit)
+            k = hold(tick, ready, ctx, choice, limit)
             if not 1 <= k <= limit:
                 raise RuntimeError(
                     f"policy {policy.name} held its choice for {k!r} ticks at"
                     f" tick {tick}; allowed 1..{limit}"
                 )
-            occ = choice.task_id if is_job else choice
-            if prev_occ == FLUSH and occ != FLUSH:
-                events.append(Event(tick, "flush_end", -1, -1))
-            if prev_job is not None and prev_job is not choice:
-                events.append(Event(tick, "preempt", prev_job.task_id, prev_job.job_id))
             if is_job:
-                job = choice
-                if job.start is None:
-                    job.start = tick
-                    events.append(Event(tick, "start", occ, job.job_id))
-                elif prev_job is not job:
-                    events.append(Event(tick, "resume", occ, job.job_id))
-                job.remaining -= k
-                slot_jobs.extend([job.job_id] * k)
-                prev_job = job
+                occ = choice.task_id
+                job_id = choice.job_id
+            elif choice == IDLE or choice == FLUSH:
+                occ = choice
+                job_id = -1
+            else:
+                raise RuntimeError(
+                    f"policy {policy.name} picked {choice!r}: not a job, IDLE or FLUSH")
+            if prev_occ == FLUSH and occ != FLUSH:
+                emit(_new_event(Event, (tick, "flush_end", -1, -1)))
+            if prev_job is not None and prev_job is not choice:
+                emit(_new_event(Event, (tick, "preempt", prev_job.task_id, prev_job.job_id)))
+            if is_job:
+                if choice.start is None:
+                    choice.start = tick
+                    emit(_new_event(Event, (tick, "start", occ, job_id)))
+                elif prev_job is not choice:
+                    emit(_new_event(Event, (tick, "resume", occ, job_id)))
+                choice.remaining -= k
+                prev_job = choice
             else:
                 if occ == FLUSH and prev_occ != FLUSH:
-                    events.append(Event(tick, "flush_begin", -1, -1))
-                slot_jobs.extend([-1] * k)
+                    emit(_new_event(Event, (tick, "flush_begin", -1, -1)))
                 prev_job = None
-            slots.extend([occ] * k)
+            runs.append((tick, k, occ, job_id))
             prev_occ = occ
             tick += k
         # Boundary bookkeeping for a job finishing on the last slot.
         if prev_job is not None and prev_job.remaining == 0:
-            prev_job.completion = self.duration
-            self.events.append(
-                Event(self.duration, "complete", prev_job.task_id, prev_job.job_id)
-            )
+            prev_job.completion = duration
+            emit(Event(duration, "complete", prev_job.task_id, prev_job.job_id))
         if prev_occ == FLUSH:
-            self.events.append(Event(self.duration, "flush_end", -1, -1))
-        return ScheduleTrace(
-            duration=self.duration,
-            slots=self.slots,
-            slot_jobs=self.slot_jobs,
-            events=self.events,
-            jobs=self.jobs,
-            seed=self.seed,
-            policy=self.policy.name,
-        )
+            emit(Event(duration, "flush_end", -1, -1))
+        return ScheduleTrace(duration, runs, self.events, jobs, self.seed, policy.name)
 
 
 def simulate(
@@ -398,15 +458,13 @@ def simulate(
 def extract_busy_intervals(trace: ScheduleTrace) -> list[tuple[int, int]]:
     """Maximal non-IDLE runs as (start, end) pairs, end exclusive; FLUSH counts."""
     out = []
-    begin = None
-    for tick, occ in enumerate(trace.slots):
-        if occ != IDLE and begin is None:
-            begin = tick
-        elif occ == IDLE and begin is not None:
-            out.append((begin, tick))
-            begin = None
-    if begin is not None:
-        out.append((begin, trace.duration))
+    for start, length, occ, _ in trace.runs:
+        if occ == IDLE:
+            continue
+        if out and out[-1][1] == start:
+            out[-1] = (out[-1][0], start + length)
+        else:
+            out.append((start, start + length))
     return out
 
 

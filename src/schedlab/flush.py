@@ -114,7 +114,7 @@ class FlushFP(SchedulingPolicy):
 def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:
     """Count dispatch boundaries where a task began running over forbidden residue.
 
-    Residue is re-derived from the raw slots alone: the tasks executed
+    Residue is re-derived from the trace's runs alone: the tasks executed
     since the last FLUSH run of length >= flush_cost (shorter runs are
     partial scrubs and clear nothing).  Each contiguous execution run of a
     task is one exposure, counted once at its first tick.  With
@@ -126,22 +126,22 @@ def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:
     forbidden = policy.forbidden(ts)
     violations = 0
     taint: set[int] = set()
-    run = 0  # length of the FLUSH run ending at the previous tick
+    run = 0  # length of the FLUSH run ending at the previous tick, modulo f
     prev = IDLE
-    for occ in trace.slots:
+    for _, length, occ, _ in trace.runs:
         if occ == FLUSH:
-            run += 1
-            if run >= f:
+            # A FLUSH stretch may span several rows; every f-th tick of it
+            # completes a scrub.
+            if run + length >= f:
                 taint.clear()
-                run = 0
+            run = (run + length) % f
             prev = FLUSH
             continue
         run = 0
         if occ == IDLE:
             prev = IDLE
             continue
-        entering = occ != prev
-        if entering and any((src, occ) in forbidden for src in taint):
+        if occ != prev and any((src, occ) in forbidden for src in taint):
             violations += 1
         taint.add(occ)
         prev = occ

@@ -112,12 +112,13 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
     for i, tr in enumerate(traces):
         misses = len(tr.misses)
         total_misses += misses
+        ticks = tr.occupancy()
         row = {"seed": member_seed(sc.seed, i), "misses": misses,
                "preemptions": sum(1 for e in tr.events if e.kind == "preempt"),
-               "idle_share": tr.slots.count(IDLE) / duration}
+               "idle_share": ticks[IDLE] / duration}
         run_rows.append(row)
         for t in ts:
-            share_sums[t.id] += tr.slots.count(t.id) / duration
+            share_sums[t.id] += ticks[t.id] / duration
 
     report = {
         "name": sc.name,

@@ -166,7 +166,7 @@ def _flush_report(sc: Scenario, report, traces, baselines, shared) -> None:
     sim = report["simulation"]
     for row, tr in zip(sim["runs"], traces):
         row["violations"] = count_violations(tr, sc.taskset, sc.security)
-        row["flush_share"] = tr.slots.count(FLUSH) / tr.duration
+        row["flush_share"] = tr.occupancy()[FLUSH] / tr.duration
     sim["total_violations"] = sum(row["violations"] for row in sim["runs"])
     sim["unprotected_violations"] = sum(
         count_violations(b, sc.taskset, sc.security) for b in baselines)

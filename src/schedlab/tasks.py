@@ -101,21 +101,22 @@ def validate(ts: TaskSet) -> list[str]:
     elif len(set(prios)) != len(prios):
         problems.append("duplicate priorities")
     for t in ts.tasks:
-        tag = f"task {t.id}"
+        # Messages are built only for a broken rule: a valid set is checked
+        # on every simulate().
         if t.C < 1:
-            problems.append(f"{tag}: C must be >= 1 (got {t.C})")
+            problems.append(f"task {t.id}: C must be >= 1 (got {t.C})")
         if t.T < t.C:
-            problems.append(f"{tag}: T must be >= C (got T={t.T}, C={t.C})")
+            problems.append(f"task {t.id}: T must be >= C (got T={t.T}, C={t.C})")
         if t.D > t.T:
-            problems.append(f"{tag}: D must be <= T (got D={t.D}, T={t.T})")
+            problems.append(f"task {t.id}: D must be <= T (got D={t.D}, T={t.T})")
         if t.D < t.C:
-            problems.append(f"{tag}: D must be >= C (got D={t.D}, C={t.C})")
+            problems.append(f"task {t.id}: D must be >= C (got D={t.D}, C={t.C})")
         if t.phase < 0:
-            problems.append(f"{tag}: phase must be >= 0 (got {t.phase})")
+            problems.append(f"task {t.id}: phase must be >= 0 (got {t.phase})")
         if t.kind not in (PERIODIC, SPORADIC):
-            problems.append(f"{tag}: unknown kind {t.kind!r}")
+            problems.append(f"task {t.id}: unknown kind {t.kind!r}")
         if t.bcet is not None and not (1 <= t.bcet <= t.C):
-            problems.append(f"{tag}: bcet must lie in [1, C] (got {t.bcet})")
+            problems.append(f"task {t.id}: bcet must lie in [1, C] (got {t.bcet})")
     return problems
 
 
@@ -185,15 +186,18 @@ def generate_taskset(
         ts_periods = [rng.choice(periods) for _ in range(n)]
         costs = [max(1, round(u * t)) for u, t in zip(shares, ts_periods)]
         costs = [min(c, t) for c, t in zip(costs, ts_periods)]
+        # U = num / scale exactly; int / int rounds as float(Fraction) does.
+        scale = math.lcm(*ts_periods)
+        weights = [scale // t for t in ts_periods]
+        num = sum(c * w for c, w in zip(costs, weights))
         # Greedy +/-1 repair toward the target, one cost at a time.
         for _ in range(50 * n):
-            u = sum(Fraction(c, t) for c, t in zip(costs, ts_periods))
-            err = float(u) - target_u
+            err = num / scale - target_u
             if abs(err) <= tol:
                 break
+            step = -1 if err > 0 else 1
             best, best_gain = None, 0.0
             for i, (c, t) in enumerate(zip(costs, ts_periods)):
-                step = -1 if err > 0 else 1
                 nc = c + step
                 if not (1 <= nc <= t):
                     continue
@@ -203,9 +207,9 @@ def generate_taskset(
                     best, best_gain = i, gain
             if best is None:
                 break
-            costs[best] += -1 if err > 0 else 1
-        u = sum(Fraction(c, t) for c, t in zip(costs, ts_periods))
-        if abs(float(u) - target_u) <= tol:
+            costs[best] += step
+            num += step * weights[best]
+        if abs(num / scale - target_u) <= tol:
             tasks = tuple(
                 Task(id=i + 1, C=c, T=t)
                 for i, (c, t) in enumerate(zip(costs, ts_periods))

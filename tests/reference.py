@@ -145,3 +145,33 @@ def ref_dispatch(jobs, duration, preemptive=True, forbidden=(), flush_cost=0):
         occupants.append(occ)
         job_ids.append(-1 if job is None else job)
     return occupants, job_ids
+
+
+def ref_count_violations(slots, forbidden, flush_cost):
+    """Dispatches of a task over forbidden residue, read one tick at a time.
+
+    Residue is the tasks run since the last completed scrub: every
+    flush_cost-th tick of a FLUSH stretch completes one, and a stretch cut
+    shorter clears nothing.  A task's contiguous run counts once, at its
+    first tick.  A free scrub (flush_cost 0) leaves nothing to count.
+    """
+    if flush_cost == 0:
+        return 0
+    violations = 0
+    residue = set()
+    scrubbed = 0  # FLUSH ticks since the last completed scrub
+    prev = IDLE
+    for occ in slots:
+        if occ == FLUSH:
+            scrubbed += 1
+            if scrubbed == flush_cost:
+                residue.clear()
+                scrubbed = 0
+        else:
+            scrubbed = 0
+            if occ != IDLE:
+                if occ != prev and any((src, occ) in forbidden for src in residue):
+                    violations += 1
+                residue.add(occ)
+        prev = occ
+    return violations

@@ -11,6 +11,7 @@ import pytest
 from schedlab.engine import (
     FLUSH,
     IDLE,
+    Job,
     NonPreemptiveFP,
     SchedulingPolicy,
     VanillaFP,
@@ -237,6 +238,24 @@ class TestValidationAtBoundary:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             simulate(FLAGSHIP, 0)
+
+
+class TestPickContract:
+    def test_a_choice_that_is_no_occupant_is_refused(self):
+        class Confused(VanillaFP):
+            def pick(self, tick, ready, ctx):
+                return None
+
+        with pytest.raises(RuntimeError, match="not a job, IDLE or FLUSH"):
+            simulate(FLAGSHIP, 12, policy=Confused())
+
+    def test_a_job_from_outside_ready_is_refused(self):
+        class Forger(VanillaFP):
+            def pick(self, tick, ready, ctx):
+                return Job(1, 99, tick, tick + 4, 1, 1, 0)
+
+        with pytest.raises(RuntimeError, match="not in ready"):
+            simulate(FLAGSHIP, 12, policy=Forger())
 
 
 class TestHoldContract:

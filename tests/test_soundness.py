@@ -9,7 +9,9 @@ are then varied over the rest of the task model: execution times below C
 minimum gap), and all three together.
 
 The same draws also check the engine's dispatch itself, slot for slot,
-against a tick-by-tick reference that shares no code with it.
+against a tick-by-tick reference that shares no code with it, and the
+run-length rows each trace records against the per-tick views and the
+readers that use the rows instead of those views.
 """
 
 import math
@@ -19,13 +21,13 @@ from dataclasses import replace
 import pytest
 
 from schedlab.analysis import SCHEDULABLE
-from schedlab.engine import NonPreemptiveFP, VanillaFP, simulate
-from schedlab.flush import FlushFP, SecurityPolicy
+from schedlab.engine import NonPreemptiveFP, VanillaFP, extract_busy_intervals, simulate
+from schedlab.flush import FlushFP, SecurityPolicy, count_violations
 from schedlab.monitor import MonitorPolicy
 from schedlab.shuffle import MODES, ShuffleFP
 from schedlab.tasks import SPORADIC, TaskSet, generate_taskset
 
-from reference import ref_dispatch
+from reference import ref_busy_intervals, ref_count_violations, ref_dispatch
 
 POOL = (4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40)  # every hyperperiod divides 120
 SETS = 600
@@ -137,3 +139,33 @@ def test_dispatch_matches_the_reference(name, variant):
             name, variant, k)
         checked += 1
     assert checked >= 150
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_runs_tile_the_trace_and_feed_its_readers(name):
+    checked = 0
+    for k, (ts, sec) in CASES[:200]:
+        duration = max(t.phase for t in ts) + 2 * math.lcm(*(t.T for t in ts))
+        try:
+            trace = simulate(ts, duration, policy=POLICIES[name](k, ts, sec), seed=k)
+        except ValueError:
+            continue  # monitor admission refused the set
+        tick = 0
+        for start, length, _, _ in trace.runs:
+            assert start == tick and length >= 1, (name, k)
+            tick += length
+        assert tick == duration, (name, k)
+        busy = extract_busy_intervals(trace)
+        # Partial scrubs (a cost above the one run) leave residue to count.
+        counts = [count_violations(trace, ts, replace(sec, flush_cost=f))
+                  for f in (1, 2, 3)]
+        assert "slots" not in vars(trace) and "slot_jobs" not in vars(trace)
+        slots = [occ for _, length, occ, _ in trace.runs for _ in range(length)]
+        jobs = [jid for _, length, _, jid in trace.runs for _ in range(length)]
+        assert (slots, jobs) == (trace.slots, trace.slot_jobs), (name, k)
+        assert busy == ref_busy_intervals(trace.slots), (name, k)
+        forbidden = sec.forbidden(ts)
+        assert counts == [ref_count_violations(trace.slots, forbidden, f)
+                          for f in (1, 2, 3)], (name, k)
+        checked += 1
+    assert checked >= 50, (name, checked)  # monitor admits the fewest
