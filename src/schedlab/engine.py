@@ -256,11 +256,12 @@ class NonPreemptiveFP(SchedulingPolicy):
 
 def _release_spec(t: Task) -> tuple:
     """What releasing a job of t reads: id, C, the low end of a variable
-    demand (None if fixed), D, priority, T, and the log term of a sporadic
-    task's geometric gap (None if periodic)."""
+    demand (None if fixed), D, priority, T, the log term of a sporadic
+    task's geometric gap (None if periodic), and whether the job's deadline
+    is the task's next release (periodic with D = T)."""
     low = t.bcet if t.bcet is not None and t.bcet < t.C else None
     gap_log = None if t.kind == PERIODIC else math.log(1.0 - 1.0 / (1.0 + t.T / 2))
-    return t.id, t.C, low, t.D, t.priority, t.T, gap_log
+    return t.id, t.C, low, t.D, t.priority, t.T, gap_log, gap_log is None and t.D == t.T
 
 
 class _Engine:
@@ -276,8 +277,9 @@ class _Engine:
         self.events: list[Event] = []
         self.jobs: list[Job] = []  # a job's id is its index here
         self.ready: list[Job] = []  # sorted by Job.sort_key
-        # (absolute deadline, job id, job) of every released job; entries of
-        # finished or missed jobs are dropped lazily when they reach the top.
+        # (absolute deadline, job id, job) of every released job whose
+        # deadline is not its task's next release; entries of finished or
+        # missed jobs are dropped lazily when they reach the top.
         self.deadlines: list[tuple[int, int, Job]] = []
         self.ctx = EngineContext(self)
 
@@ -316,6 +318,9 @@ class _Engine:
         releases = [(t.phase, i, _release_spec(t)) for i, t in enumerate(self.ts)
                     if t.id not in managed]
         heapq.heapify(releases)
+        # The latest job of each task whose next release is that job's
+        # deadline: the release checks it, so it needs no heap entry.
+        latest: list[Job | None] = [None] * len(self.ts)
         duration = self.duration
         next_release = releases[0][0] if releases else duration
         deadlines = self.deadlines
@@ -344,11 +349,13 @@ class _Engine:
                 ctx.completed = prev_job
                 prev_job = None
             ctx.current = prev_job
+            overdue = deadline == tick
             if next_release == tick:
                 arrivals = []
                 while releases[0][0] == tick:
                     _, index, spec = releases[0]
-                    task_id, demand, low, rel_deadline, priority, period, gap_log = spec
+                    (task_id, demand, low, rel_deadline, priority, period, gap_log,
+                     due_at_release) = spec
                     if low is not None:
                         demand = self.arrival_rng.randint(low, demand)
                     job_id = len(jobs)
@@ -356,7 +363,13 @@ class _Engine:
                               priority)
                     jobs.append(job)
                     insort(ready, job, key=_SORT_KEY)
-                    heappush(deadlines, (tick + rel_deadline, job_id, job))
+                    if due_at_release:
+                        last = latest[index]
+                        if last is not None and last.remaining > 0:
+                            overdue = True
+                        latest[index] = job
+                    else:
+                        heappush(deadlines, (tick + rel_deadline, job_id, job))
                     emit(_new_event(Event, (tick, "release", task_id, job_id)))
                     arrivals.append(job)
                     due = tick + period
@@ -370,7 +383,7 @@ class _Engine:
                 ctx.arrivals = arrivals
             else:
                 ctx.arrivals = ()
-            if deadline == tick:
+            if overdue:
                 for job in [j for j in ready if j.absolute_deadline == tick
                             and j.remaining > 0 and not j.missed]:
                     job.missed = True

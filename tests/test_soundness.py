@@ -16,6 +16,7 @@ readers that use the rows instead of those views.
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -159,11 +160,13 @@ def test_runs_tile_the_trace_and_feed_its_readers(name):
         # Partial scrubs (a cost above the one run) leave residue to count.
         counts = [count_violations(trace, ts, replace(sec, flush_cost=f))
                   for f in (1, 2, 3)]
+        occupancy = trace.occupancy()
         assert "slots" not in vars(trace) and "slot_jobs" not in vars(trace)
         slots = [occ for _, length, occ, _ in trace.runs for _ in range(length)]
         jobs = [jid for _, length, _, jid in trace.runs for _ in range(length)]
         assert (slots, jobs) == (trace.slots, trace.slot_jobs), (name, k)
         assert busy == ref_busy_intervals(trace.slots), (name, k)
+        assert occupancy == Counter(trace.slots), (name, k)
         forbidden = sec.forbidden(ts)
         assert counts == [ref_count_violations(trace.slots, forbidden, f)
                           for f in (1, 2, 3)], (name, k)
