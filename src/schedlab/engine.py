@@ -334,7 +334,7 @@ class _Engine:
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         prev_job: Job | None = None  # occupant of the previous tick (jobs only)
         prev_occ = IDLE
-        deadline = None  # earliest pending deadline after the previous decision
+        deadline = None  # earliest pending heap deadline after the previous decision
         tick = 0
         while tick < duration:
             ctx.tick = tick
