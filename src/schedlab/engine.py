@@ -6,16 +6,17 @@ The engine advances from decision point to decision point: at each one it
 asks the policy to pick an occupant, then to hold it: to say how many
 ticks that choice stands (at most until the next release, the running
 job's completion, the earliest pending deadline or the end of the run)
-and book what those ticks cost the policy.  The engine records each hold
-as one row of the trace's `runs`: (start, length, occupant, job id).  The
-per-tick views `slots` and `slot_jobs` are built from those rows only when
-first read.  A hold stands for exactly the picks the policy would have
-made on the ticks it covers, so the trace is the one a tick-by-tick loop
-would produce; the default hold is one tick.  All randomness (sporadic
-gaps, variable demands, policy coin flips) derives from the single seed
-passed to simulate(), so a trace is reproducible bit for bit.  The two
-random streams are built on first use, so a run that draws nothing
-builds none.
+and book what those ticks cost the policy.  The engine books each hold in
+the trace's `runs`, rows of (start, length, occupant, job id): a hold that
+keeps the previous tick's occupant and job extends that row, any other
+starts a new one.  The per-tick views `slots` and `slot_jobs` are built
+from those rows only when first read.  A hold stands for exactly the
+picks the policy would have made on the ticks it covers, so the trace is
+the one a tick-by-tick loop would produce; the default hold is one tick.
+All randomness (sporadic gaps, variable demands, policy coin flips)
+derives from the single seed passed to simulate(), so a trace is
+reproducible bit for bit.  The two random streams are built on first
+use, so a run that draws nothing builds none.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Job:
     """One released instance of a task.
 
     completion is the boundary after the last executed slot, so a job whose
     final slot is tick t completes at t + 1.  priority is copied from the
-    owning task at release and is fixed from then on: the engine computes
-    the job's place in the ready queue (sort_key) once, at release.
+    owning task at release and is fixed from then on: the job's place in
+    the ready queue (sort_key) is computed once, when it is built.
     """
 
     task_id: int
@@ -69,10 +70,23 @@ class Job:
     start: int | None = None
     completion: int | None = None
     missed: bool = False
-    sort_key: tuple = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        self.sort_key = (self.priority, self.release, self.job_id)
+    # Written out: the generated __init__ and a __post_init__ call for the
+    # sort key cost about 15% more per job.
+    def __init__(self, task_id, job_id, release, absolute_deadline, exec_demand,
+                 remaining, priority, start=None, completion=None, missed=False):
+        self.task_id = task_id
+        self.job_id = job_id
+        self.release = release
+        self.absolute_deadline = absolute_deadline
+        self.exec_demand = exec_demand
+        self.remaining = remaining
+        self.priority = priority
+        self.start = start
+        self.completion = completion
+        self.missed = missed
+        self.sort_key = (priority, release, job_id)
 
 
 _SORT_KEY = attrgetter("sort_key")
@@ -88,19 +102,45 @@ class Event(NamedTuple):
 _new_event = tuple.__new__  # builds an Event without its Python-level __new__
 
 
+@dataclass(slots=True)
+class Runs:
+    """A schedule as rows (start, length, occupant, job id).
+
+    The occupant is a task id, IDLE or FLUSH, and the job id is -1 for IDLE
+    and FLUSH.  The rows tile [0, duration) in order, and each differs from
+    the one before it in occupant or job, so they are the run-length
+    encoding of the per-tick schedule.  They are kept as three lists,
+    length, occupant and job_id, whose items are ints the trace holds
+    anyway (small lengths, task ids, job ids), so a row costs about three
+    pointers; a row's start is the sum of the lengths before it.  Iterating
+    yields the rows as tuples.
+    """
+
+    length: list[int] = field(default_factory=list)
+    occupant: list[int] = field(default_factory=list)
+    job_id: list[int] = field(default_factory=list)
+
+    def __len__(self):
+        return len(self.length)
+
+    def __iter__(self):
+        start = 0
+        for length, occ, jid in zip(self.length, self.occupant, self.job_id):
+            yield start, length, occ, jid
+            start += length
+
+
 @dataclass
 class ScheduleTrace:
-    """One run: a row per hold in `runs`, events, jobs, seed and policy label.
+    """One run: its `runs`, events, jobs, seed and policy label.
 
-    runs rows are (start, length, occupant, job id): the occupant is a task
-    id, IDLE or FLUSH, and the job id is -1 for IDLE and FLUSH.  They tile
-    [0, duration) in order.  slots and slot_jobs are the per-tick views of
-    the same rows, built on first read and cached, so a caller may edit
-    them (check_trace reads them) while runs keeps what the engine booked.
+    slots and slot_jobs are the per-tick views of the runs, built on first
+    read and cached, so a caller may edit them (check_trace reads them)
+    while runs keeps what the engine booked.
     """
 
     duration: int
-    runs: list[tuple[int, int, int, int]]
+    runs: Runs
     events: list[Event]
     jobs: list[Job]
     seed: int
@@ -110,7 +150,7 @@ class ScheduleTrace:
     def slots(self) -> list[int]:
         """Occupant per tick: task id, IDLE, or FLUSH."""
         out = []
-        for _, length, occ, _ in self.runs:
+        for length, occ in zip(self.runs.length, self.runs.occupant):
             out += [occ] * length
         return out
 
@@ -118,14 +158,14 @@ class ScheduleTrace:
     def slot_jobs(self) -> list[int]:
         """Job id per tick, -1 for IDLE/FLUSH."""
         out = []
-        for _, length, _, jid in self.runs:
+        for length, jid in zip(self.runs.length, self.runs.job_id):
             out += [jid] * length
         return out
 
     def occupancy(self) -> Counter:
         """Ticks held by each occupant (task id, IDLE or FLUSH)."""
         ticks = Counter()
-        for _, length, occ, _ in self.runs:
+        for length, occ in zip(self.runs.length, self.runs.occupant):
             ticks[occ] += length
         return ticks
 
@@ -256,12 +296,11 @@ class NonPreemptiveFP(SchedulingPolicy):
 
 def _release_spec(t: Task) -> tuple:
     """What releasing a job of t reads: id, C, the low end of a variable
-    demand (None if fixed), D, priority, T, the log term of a sporadic
-    task's geometric gap (None if periodic), and whether the job's deadline
-    is the task's next release (periodic with D = T)."""
+    demand (None if fixed), D, priority, T, and the log term of a sporadic
+    task's geometric gap (None if periodic)."""
     low = t.bcet if t.bcet is not None and t.bcet < t.C else None
     gap_log = None if t.kind == PERIODIC else math.log(1.0 - 1.0 / (1.0 + t.T / 2))
-    return t.id, t.C, low, t.D, t.priority, t.T, gap_log, gap_log is None and t.D == t.T
+    return t.id, t.C, low, t.D, t.priority, t.T, gap_log
 
 
 class _Engine:
@@ -277,9 +316,8 @@ class _Engine:
         self.events: list[Event] = []
         self.jobs: list[Job] = []  # a job's id is its index here
         self.ready: list[Job] = []  # sorted by Job.sort_key
-        # (absolute deadline, job id, job) of every released job whose
-        # deadline is not its task's next release; entries of finished or
-        # missed jobs are dropped lazily when they reach the top.
+        # (absolute deadline, job id, job) of every released job; entries of
+        # finished or missed jobs are dropped lazily when they reach the top.
         self.deadlines: list[tuple[int, int, Job]] = []
         self.ctx = EngineContext(self)
 
@@ -318,23 +356,21 @@ class _Engine:
         releases = [(t.phase, i, _release_spec(t)) for i, t in enumerate(self.ts)
                     if t.id not in managed]
         heapq.heapify(releases)
-        # The latest job of each task whose next release is that job's
-        # deadline: the release checks it, so it needs no heap entry.
-        latest: list[Job | None] = [None] * len(self.ts)
         duration = self.duration
         next_release = releases[0][0] if releases else duration
         deadlines = self.deadlines
         ready = self.ready
         jobs = self.jobs
-        runs = []
+        runs = Runs()
+        lengths, occupants, job_ids = runs.length, runs.occupant, runs.job_id
         pick = policy.pick
         hold = policy.hold
         emit = self.events.append
         insort, bisect_left = bisect.insort, bisect.bisect_left
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         prev_job: Job | None = None  # occupant of the previous tick (jobs only)
-        prev_occ = IDLE
-        deadline = None  # earliest pending heap deadline after the previous decision
+        prev_occ = None  # occupant of the previous tick: task id, IDLE or FLUSH
+        deadline = None  # earliest pending deadline after the previous decision
         tick = 0
         while tick < duration:
             ctx.tick = tick
@@ -342,20 +378,21 @@ class _Engine:
             if prev_job is not None and prev_job.remaining == 0:
                 prev_job.completion = tick
                 emit(_new_event(Event, (tick, "complete", prev_job.task_id, prev_job.job_id)))
-                i = bisect_left(ready, prev_job.sort_key, key=_SORT_KEY)
-                if i == len(ready) or ready[i] is not prev_job:
-                    raise RuntimeError("policy picked a job that is not in ready")
-                del ready[i]
+                if ready and ready[0] is prev_job:  # most often the highest-priority job
+                    del ready[0]
+                else:
+                    i = bisect_left(ready, prev_job.sort_key, key=_SORT_KEY)
+                    if i == len(ready) or ready[i] is not prev_job:
+                        raise RuntimeError("policy picked a job that is not in ready")
+                    del ready[i]
                 ctx.completed = prev_job
                 prev_job = None
             ctx.current = prev_job
-            overdue = deadline == tick
             if next_release == tick:
                 arrivals = []
                 while releases[0][0] == tick:
                     _, index, spec = releases[0]
-                    (task_id, demand, low, rel_deadline, priority, period, gap_log,
-                     due_at_release) = spec
+                    task_id, demand, low, rel_deadline, priority, period, gap_log = spec
                     if low is not None:
                         demand = self.arrival_rng.randint(low, demand)
                     job_id = len(jobs)
@@ -363,13 +400,7 @@ class _Engine:
                               priority)
                     jobs.append(job)
                     insort(ready, job, key=_SORT_KEY)
-                    if due_at_release:
-                        last = latest[index]
-                        if last is not None and last.remaining > 0:
-                            overdue = True
-                        latest[index] = job
-                    else:
-                        heappush(deadlines, (tick + rel_deadline, job_id, job))
+                    heappush(deadlines, (tick + rel_deadline, job_id, job))
                     emit(_new_event(Event, (tick, "release", task_id, job_id)))
                     arrivals.append(job)
                     due = tick + period
@@ -383,7 +414,7 @@ class _Engine:
                 ctx.arrivals = arrivals
             else:
                 ctx.arrivals = ()
-            if overdue:
+            if deadline == tick:
                 for job in [j for j in ready if j.absolute_deadline == tick
                             and j.remaining > 0 and not j.missed]:
                     job.missed = True
@@ -416,31 +447,41 @@ class _Engine:
                     f" tick {tick}; allowed 1..{limit}"
                 )
             if is_job:
+                choice.remaining -= k
+                if prev_job is choice:  # the running job goes on: extend its row
+                    lengths[-1] += k
+                    tick += k
+                    continue
                 occ = choice.task_id
                 job_id = choice.job_id
             elif choice == IDLE or choice == FLUSH:
+                if choice == prev_occ and job_ids[-1] == -1:  # idling or scrubbing goes on
+                    lengths[-1] += k
+                    tick += k
+                    continue
                 occ = choice
                 job_id = -1
             else:
                 raise RuntimeError(
                     f"policy {policy.name} picked {choice!r}: not a job, IDLE or FLUSH")
-            if prev_occ == FLUSH and occ != FLUSH:
+            if prev_occ == FLUSH:
                 emit(_new_event(Event, (tick, "flush_end", -1, -1)))
-            if prev_job is not None and prev_job is not choice:
+            if prev_job is not None:
                 emit(_new_event(Event, (tick, "preempt", prev_job.task_id, prev_job.job_id)))
             if is_job:
                 if choice.start is None:
                     choice.start = tick
                     emit(_new_event(Event, (tick, "start", occ, job_id)))
-                elif prev_job is not choice:
+                else:
                     emit(_new_event(Event, (tick, "resume", occ, job_id)))
-                choice.remaining -= k
                 prev_job = choice
             else:
-                if occ == FLUSH and prev_occ != FLUSH:
+                if occ == FLUSH:
                     emit(_new_event(Event, (tick, "flush_begin", -1, -1)))
                 prev_job = None
-            runs.append((tick, k, occ, job_id))
+            lengths.append(k)
+            occupants.append(occ)
+            job_ids.append(job_id)
             prev_occ = occ
             tick += k
         # Boundary bookkeeping for a job finishing on the last slot.
@@ -471,13 +512,15 @@ def simulate(
 def extract_busy_intervals(trace: ScheduleTrace) -> list[tuple[int, int]]:
     """Maximal non-IDLE runs as (start, end) pairs, end exclusive; FLUSH counts."""
     out = []
-    for start, length, occ, _ in trace.runs:
+    end = 0
+    for length, occ in zip(trace.runs.length, trace.runs.occupant):
+        start, end = end, end + length
         if occ == IDLE:
             continue
         if out and out[-1][1] == start:
-            out[-1] = (out[-1][0], start + length)
+            out[-1] = (out[-1][0], end)
         else:
-            out.append((start, start + length))
+            out.append((start, end))
     return out
 
 

@@ -128,7 +128,7 @@ def count_violations(trace, ts: TaskSet, policy: SecurityPolicy) -> int:
     taint: set[int] = set()
     run = 0  # length of the FLUSH run ending at the previous tick, modulo f
     prev = IDLE
-    for _, length, occ, _ in trace.runs:
+    for length, occ in zip(trace.runs.length, trace.runs.occupant):
         if occ == FLUSH:
             # A FLUSH stretch may span several rows; every f-th tick of it
             # completes a scrub.

@@ -55,12 +55,17 @@ def activity_features(trace, ts: TaskSet, window: int) -> np.ndarray:
     ids = sorted(t.id for t in ts)
     col = {tid: i for i, tid in enumerate(ids)}
     windows = trace.duration // window
+    last = windows * window
     out = np.zeros((windows, len(ids)))
-    for w in range(windows):
-        for tick in range(w * window, (w + 1) * window):
-            occ = trace.slots[tick]
-            if occ in col:
-                out[w, col[occ]] += 1
+    for start, length, occ, _ in trace.runs:
+        if occ not in col or start >= last:
+            continue
+        end = min(start + length, last)
+        while start < end:  # the row's ticks in each window it crosses
+            w = start // window
+            stop = min(end, (w + 1) * window)
+            out[w, col[occ]] += stop - start
+            start = stop
     return out / window
 
 

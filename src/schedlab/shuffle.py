@@ -52,7 +52,6 @@ changing a budget or a bound it grants:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from schedlab.analysis import (INCONCLUSIVE, SCHEDULABLE, AnalysisReport, fixed_point,
@@ -281,31 +280,48 @@ class ShuffleFP(SchedulingPolicy):
 def schedule_entropy(traces, hyperperiod: int | None = None):
     """Shannon entropy (bits) of the occupant per tick offset, plus the mean.
 
-    traces are schedule traces, read through their `slots`; all must share
-    one duration.  When `hyperperiod` is given and
+    traces are schedule traces, read through their `duration` and `runs`;
+    all must share one duration.  When `hyperperiod` is given and
     divides the duration, the samples at offset o pool slots o, o + H,
     o + 2H, ... across every trace, so a single long trace measures its
     own hyperperiod-to-hyperperiod variability.  At least two samples per
     offset are required.
     """
-    seqs = [t.slots for t in traces]
-    if not seqs:
+    if not traces:
         raise ValueError("no traces given")
-    duration = len(seqs[0])
-    if any(len(s) != duration for s in seqs):
+    duration = traces[0].duration
+    if any(t.duration != duration for t in traces):
         raise ValueError("traces have mismatched durations")
     h = duration if hyperperiod is None else hyperperiod
     if h <= 0 or duration % h != 0:
         raise ValueError(f"hyperperiod {h} does not divide duration {duration}")
-    total = duration // h * len(seqs)  # samples per offset
+    total = duration // h * len(traces)  # samples per offset
     if total < 2:
         raise ValueError("need at least two samples per offset")
+    # Occupant counts per offset, each in order of first occurrence (trace
+    # by trace, tick by tick), so the sums below add in a fixed order.
+    counts = [{} for _ in range(h)]
+    for trace in traces:
+        o = 0  # offset of the row's first tick
+        for length, occ in zip(trace.runs.length, trace.runs.occupant):
+            if length == 1:
+                c = counts[o]
+                c[occ] = c.get(occ, 0) + 1
+                o = o + 1 if o + 1 < h else 0
+                continue
+            laps, rest = divmod(length, h)
+            if laps:
+                for c in counts:
+                    c[occ] = c.get(occ, 0) + laps
+            end = o + rest
+            for c in counts[o:end] if end <= h else counts[o:] + counts[:end - h]:
+                c[occ] = c.get(occ, 0) + 1
+            o = end if end < h else end - h
     per_offset = []
-    for o in range(h):
-        counts = Counter(occ for s in seqs for occ in s[o::h])
+    for c in counts:
         ent = 0.0
-        for c in counts.values():
-            p = c / total
+        for n in c.values():
+            p = n / total
             ent -= p * math.log2(p)
         per_offset.append(ent)
     return per_offset, sum(per_offset) / len(per_offset)

@@ -96,7 +96,7 @@ def validate(ts: TaskSet) -> list[str]:
     if len(set(ids)) != len(ids):
         problems.append("duplicate task ids")
     prios = [t.priority for t in ts.tasks]
-    if any(p is None for p in prios):
+    if None in prios:
         problems.append("unassigned priorities (use rate_monotonic or set explicitly)")
     elif len(set(prios)) != len(prios):
         problems.append("duplicate priorities")

@@ -175,3 +175,23 @@ def ref_count_violations(slots, forbidden, flush_cost):
                 residue.add(occ)
         prev = occ
     return violations
+
+
+def ref_entropy(seqs, fold):
+    """Shannon entropy (bits) of the occupant at each offset o < fold,
+    pooled over ticks o, o + fold, ... of every per-tick list in seqs."""
+    import math
+
+    total = len(seqs[0]) // fold * len(seqs)
+    out = []
+    for o in range(fold):
+        counts = {}
+        for s in seqs:
+            for occ in s[o::fold]:
+                counts[occ] = counts.get(occ, 0) + 1
+        ent = 0.0
+        for n in counts.values():
+            p = n / total
+            ent -= p * math.log2(p)
+        out.append(ent)
+    return out

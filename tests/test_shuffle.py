@@ -23,6 +23,7 @@ from schedlab import (
     simulate,
 )
 from schedlab.analysis import INCONCLUSIVE, SCHEDULABLE
+from schedlab.engine import Runs
 from schedlab.shuffle import (
     FINE_GRAINED,
     GUARD_BUDGET,
@@ -430,8 +431,10 @@ def test_pick_matches_the_per_candidate_rule_on_random_ready_lists():
 # --- entropy metric -------------------------------------------------------
 
 def stand_ins(seqs):
-    """Stand-ins for schedule traces: schedule_entropy reads only slots."""
-    return [SimpleNamespace(slots=s) for s in seqs]
+    """Stand-ins for schedule traces, one row per tick: schedule_entropy
+    reads only duration and runs."""
+    return [SimpleNamespace(duration=len(s), runs=Runs([1] * len(s), s, [-1] * len(s)))
+            for s in seqs]
 
 
 def test_entropy_two_traces_frozen():

@@ -24,11 +24,11 @@ import pytest
 from schedlab.analysis import SCHEDULABLE
 from schedlab.engine import NonPreemptiveFP, VanillaFP, extract_busy_intervals, simulate
 from schedlab.flush import FlushFP, SecurityPolicy, count_violations
-from schedlab.monitor import MonitorPolicy
-from schedlab.shuffle import MODES, ShuffleFP
+from schedlab.monitor import MonitorPolicy, activity_features
+from schedlab.shuffle import MODES, ShuffleFP, schedule_entropy
 from schedlab.tasks import SPORADIC, TaskSet, generate_taskset
 
-from reference import ref_busy_intervals, ref_count_violations, ref_dispatch
+from reference import ref_busy_intervals, ref_count_violations, ref_dispatch, ref_entropy
 
 POOL = (4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40)  # every hyperperiod divides 120
 SETS = 600
@@ -151,22 +151,37 @@ def test_runs_tile_the_trace_and_feed_its_readers(name):
             trace = simulate(ts, duration, policy=POLICIES[name](k, ts, sec), seed=k)
         except ValueError:
             continue  # monitor admission refused the set
+        rows = list(trace.runs)
+        assert len(rows) == len(trace.runs), (name, k)
         tick = 0
-        for start, length, _, _ in trace.runs:
+        for start, length, _, _ in rows:
             assert start == tick and length >= 1, (name, k)
             tick += length
         assert tick == duration, (name, k)
+        for before, row in zip(rows, rows[1:]):
+            assert before[2:] != row[2:], (name, k)  # each row starts a new stretch
+        other = simulate(ts, duration, policy=POLICIES[name](k, ts, sec), seed=k + 1)
+        # Pooled over the whole run, and over short folds that rows lap.
+        folds = (duration, math.gcd(duration, min(t.T for t in ts)))
+        entropy = [schedule_entropy([trace, other], hyperperiod=f)[0] for f in folds]
         busy = extract_busy_intervals(trace)
         # Partial scrubs (a cost above the one run) leave residue to count.
         counts = [count_violations(trace, ts, replace(sec, flush_cost=f))
                   for f in (1, 2, 3)]
         occupancy = trace.occupancy()
-        assert "slots" not in vars(trace) and "slot_jobs" not in vars(trace)
+        window = min(t.T for t in ts)
+        features = activity_features(trace, ts, window).tolist()
+        for t in (trace, other):
+            assert "slots" not in vars(t) and "slot_jobs" not in vars(t), (name, k)
         slots = [occ for _, length, occ, _ in trace.runs for _ in range(length)]
         jobs = [jid for _, length, _, jid in trace.runs for _ in range(length)]
         assert (slots, jobs) == (trace.slots, trace.slot_jobs), (name, k)
         assert busy == ref_busy_intervals(trace.slots), (name, k)
         assert occupancy == Counter(trace.slots), (name, k)
+        ids = sorted(t.id for t in ts)
+        assert features == [[trace.slots[w * window:(w + 1) * window].count(i) / window
+                              for i in ids] for w in range(duration // window)], (name, k)
+        assert entropy == [ref_entropy([trace.slots, other.slots], f) for f in folds], (name, k)
         forbidden = sec.forbidden(ts)
         assert counts == [ref_count_violations(trace.slots, forbidden, f)
                           for f in (1, 2, 3)], (name, k)
