@@ -304,7 +304,7 @@ def schedule_entropy(traces, hyperperiod: int | None = None):
     for trace in traces:
         o = 0  # offset of the row's first tick
         for length, occ in zip(trace.runs.length, trace.runs.occupant):
-            if length == 1:
+            if length == 1:  # most rows of a fine-grained shuffle
                 c = counts[o]
                 c[occ] = c.get(occ, 0) + 1
                 o = o + 1 if o + 1 < h else 0

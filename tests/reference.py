@@ -6,6 +6,8 @@ reference simulator is a straight transcription of preemptive fixed-priority
 dispatching over integer ticks; tests freeze its outputs as expected values.
 """
 
+import math
+
 IDLE = -1
 FLUSH = -2
 
@@ -180,8 +182,6 @@ def ref_count_violations(slots, forbidden, flush_cost):
 def ref_entropy(seqs, fold):
     """Shannon entropy (bits) of the occupant at each offset o < fold,
     pooled over ticks o, o + fold, ... of every per-tick list in seqs."""
-    import math
-
     total = len(seqs[0]) // fold * len(seqs)
     out = []
     for o in range(fold):
