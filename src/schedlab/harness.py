@@ -114,7 +114,7 @@ def run_scenario(sc: Scenario, runs: int = 1) -> dict:
         total_misses += misses
         ticks = tr.occupancy()
         row = {"seed": member_seed(sc.seed, i), "misses": misses,
-               "preemptions": sum(1 for e in tr.events if e.kind == "preempt"),
+               "preemptions": sum(1 for row in tr.event_rows if row[1] == "preempt"),
                "idle_share": ticks[IDLE] / duration}
         run_rows.append(row)
         for t in ts:

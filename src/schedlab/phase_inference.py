@@ -10,10 +10,15 @@ The search walks tasks from highest to lowest priority.  Fixed-priority
 dispatch means earlier (higher) tasks are unaffected by later ones, so a
 partial assignment can be simulated incrementally: each new task's jobs
 claim the earliest free ticks at or after max(release, previous job's
-finish), where ticks past the window count as free.  Two prunes keep the
-walk small: a partial schedule that occupies an observed-idle tick can
-never become consistent, and the unassigned tasks' maximum demand must be
-able to cover the still-unexplained busy ticks.
+finish), where ticks past the window count as free.  Exact prunes keep
+the walk small: a partial schedule that occupies an observed-idle tick
+can never become consistent, and the unassigned tasks' maximum demand
+must be able to cover the still-unexplained busy ticks.  Before placing
+a task, its offsets are narrowed without touching the schedule: a
+released job is pending, so every in-window release must fall on a busy
+tick; a task released before the last idle tick ahead of the first
+unexplained busy tick would run in that idle tick; and the last task must
+be released by that busy tick to explain it.
 
 A leaf whose occupancy equals the observed busy mask is reported as a
 candidate without running the simulator again.  That is exact for
@@ -133,6 +138,21 @@ def _place(occ: int, busy: int, window: int, C: int, T: int, offset: int):
     return occ
 
 
+def _release_ok(busy: int, window: int, T: int) -> int:
+    """Bit o set iff offset o in [0, T) releases only on busy ticks.
+
+    Every in-window release tick of a job is busy: the job is pending from
+    then on, so it or a higher-priority job runs there.
+    """
+    chunks = -(-window // T)
+    ticks = busy | ((1 << chunks * T) - (1 << window))  # past the window: no release
+    full = (1 << T) - 1
+    ok = full
+    for k in range(chunks):
+        ok &= ticks >> (k * T)
+    return ok & full
+
+
 def _max_demand(task, window: int) -> int:
     if window <= 0:
         return 0
@@ -161,6 +181,9 @@ def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
     for i in range(len(by_prio) - 1, -1, -1):
         demand_tail[i] = demand_tail[i + 1] + _max_demand(by_prio[i], obs.window)
 
+    release_ok = [_release_ok(busy_mask, obs.window, t.T) for t in by_prio]
+    last = len(by_prio) - 1
+
     found = []
     explored = 0
 
@@ -171,8 +194,21 @@ def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
                 found.append(offsets)
             return
         task = by_prio[level]
-        for offset in range(task.T):
-            explored += 1
+        explored += task.T  # every offset is examined, most by the masks alone
+        # b: the first busy tick occ leaves unexplained (the window's end if
+        # none).  A task released before the last idle tick ahead of b runs
+        # in that tick, which no task may take; and with one task left, it
+        # must be released by b to explain it.
+        unexplained = busy_mask & ~occ
+        b = (unexplained & -unexplained).bit_length() - 1 if unexplained else obs.window
+        lo = (~busy_mask & ((1 << b) - 1)).bit_length()
+        allowed = release_ok[level] >> lo << lo
+        if level == last and unexplained:
+            allowed &= (2 << b) - 1
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            offset = bit.bit_length() - 1
             nxt = _place(occ, busy_mask, obs.window, task.C, task.T, offset)
             if nxt is None:
                 continue

@@ -203,7 +203,7 @@ def _monitor_report(sc: Scenario, report, traces, baselines, shared) -> None:
         "alerts": list(m.alerts),
         "latencies": [detection_latencies(tr, m.scan_task, m.alerts)
                       for tr in traces],
-        "mode_switches": [sum(1 for e in tr.events if e.kind == "mode_switch")
+        "mode_switches": [sum(1 for row in tr.event_rows if row[1] == "mode_switch")
                           for tr in traces],
     }
 

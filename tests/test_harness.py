@@ -835,6 +835,32 @@ def test_cli_module_invocation(tmp_path):
     assert "verdict: schedulable" in proc.stdout
 
 
+def test_cli_reuses_the_parser_built_at_import(tmp_path, capsys, monkeypatch):
+    # A usage error, --help and two commands in a row on the one parser:
+    # main builds none, and a command prints what a fresh process prints.
+    import argparse
+
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(a))
+    path = _write(tmp_path, FLUSH)
+    assert main(["simulate"]) == 2
+    assert "required: scenario" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: schedlab ")
+    commands = (["simulate", path, "--runs", "3"], ["simulate", path])
+    outputs = []
+    for argv in commands:
+        main(argv)
+        outputs.append(capsys.readouterr().out)
+    assert built == []
+    assert "runs=3" in outputs[0] and "runs=1" in outputs[1]
+    for argv, out in zip(commands, outputs):
+        fresh = subprocess.run([sys.executable, "-W", "error", "-m", "schedlab.cli", *argv],
+                               capture_output=True, text=True)
+        assert fresh.stdout == out
+
+
 def test_cli_monitor_verdict_covers_the_escalated_placement(tmp_path, capsys):
     path = _write(tmp_path, ESCALATION_FAILS)
     assert main(["analyze", path]) == 1

@@ -261,6 +261,37 @@ def test_candidates_replay_to_the_observation():
     assert missed >= 60 and oracle_checked >= 100
 
 
+def test_offset_prunes_match_brute_force():
+    # The search narrows each task's offsets before placing it: releases
+    # fall on busy ticks only, and bounds come from the first busy tick
+    # the placed tasks leave unexplained.  The spill case: C,T = (1,4),
+    # (1,4), (1,20) at phases 2, 3, 19 over 20 ticks.  The first two take
+    # ticks 18 and 19, so the last task's only job runs wholly past the
+    # window and no busy tick bounds its offset from above.
+    spill = TaskSet(tasks=(
+        Task(id=1, C=1, T=4, phase=2, priority=1),
+        Task(id=2, C=1, T=4, phase=3, priority=2),
+        Task(id=3, C=1, T=20, phase=19, priority=3),
+    ))
+    obs = observe(spill, 20)
+    assert obs.busy[-1] == (18, 20) and len(obs.busy) == 5
+    spilled = infer_offsets(spill, obs).candidates
+    assert (2, 3, 18) in spilled and (2, 3, 19) in spilled
+    assert spilled == brute_force_offsets(spill, obs)
+    rng = random.Random(2020)
+    checked = 0
+    while checked < 120:
+        truth = _random_truth(rng, overloaded=checked % 2 == 0)
+        if math.prod(t.T for t in truth) > 200:
+            continue
+        window = max(t.T for t in truth) + rng.randrange(12)
+        obs = Observation.from_trace(simulate(truth, window))
+        result = infer_offsets(truth, obs)
+        assert result.candidates == brute_force_offsets(truth, obs), (truth, window)
+        assert tuple(t.phase for t in truth) in result.candidates
+        checked += 1
+
+
 def test_search_runs_no_simulation(monkeypatch):
     truths = [(1, 0, 2), (3, 5, 11), (0, 0, 0)]
     cases = []

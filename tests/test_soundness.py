@@ -11,7 +11,8 @@ minimum gap), and all three together.
 The same draws also check the engine's dispatch itself, slot for slot,
 against a tick-by-tick reference that shares no code with it, and the
 run-length rows each trace records against the per-tick views and the
-readers that use the rows instead of those views.
+readers that use the rows instead of those views, and the event rows
+against the `Event` view that their readers never build.
 """
 
 import math
@@ -21,10 +22,19 @@ from dataclasses import replace
 
 import pytest
 
+from schedlab import harness
 from schedlab.analysis import SCHEDULABLE
-from schedlab.engine import NonPreemptiveFP, VanillaFP, extract_busy_intervals, simulate
+from schedlab.engine import (
+    Event,
+    NonPreemptiveFP,
+    VanillaFP,
+    check_trace,
+    extract_busy_intervals,
+    simulate,
+)
 from schedlab.flush import FlushFP, SecurityPolicy, count_violations
 from schedlab.monitor import MonitorPolicy, activity_features
+from schedlab.scenario import MonitorConfig, Scenario, ShuffleConfig
 from schedlab.shuffle import MODES, ShuffleFP, schedule_entropy
 from schedlab.tasks import SPORADIC, TaskSet, generate_taskset
 
@@ -142,8 +152,25 @@ def test_dispatch_matches_the_reference(name, variant):
     assert checked >= 150
 
 
+# The scenario whose run_scenario makes the traces POLICIES[name] makes.
+SCENARIOS = {
+    "flush": lambda k, ts, sec: {"security": sec},
+    "shuffle": lambda k, ts, sec: {"shuffle": ShuffleConfig(mode=MODES[k % len(MODES)])},
+    "monitor": lambda k, ts, sec: {
+        "security": sec if k % 2 else None,
+        "monitor": MonitorConfig(ts.by_priority()[-1].id, alerts=(k % 40,))},
+}
+
+
 @pytest.mark.parametrize("name", sorted(POLICIES))
-def test_runs_tile_the_trace_and_feed_its_readers(name):
+def test_runs_tile_the_trace_and_feed_its_readers(name, monkeypatch):
+    ran = []
+
+    def recording(*args, **kwargs):
+        ran.append(simulate(*args, **kwargs))
+        return ran[-1]
+
+    monkeypatch.setattr(harness, "simulate", recording)
     checked = 0
     for k, (ts, sec) in CASES[:200]:
         duration = max(t.phase for t in ts) + 2 * math.lcm(*(t.T for t in ts))
@@ -185,5 +212,17 @@ def test_runs_tile_the_trace_and_feed_its_readers(name):
         forbidden = sec.forbidden(ts)
         assert counts == [ref_count_violations(trace.slots, forbidden, f)
                           for f in (1, 2, 3)], (name, k)
+        misses, csv, problems = trace.misses, trace.events_csv(), check_trace(trace, ts)
+        if name in SCENARIOS and checked < 40:
+            ran.clear()
+            harness.run_scenario(Scenario(f"set{k}", ts, seed=k, policy=name, duration=duration,
+                                          **SCENARIOS[name](k, ts, sec)))
+            assert ran[0].event_rows == trace.event_rows, (name, k)
+        for t in (trace, *ran):
+            assert "events" not in vars(t), (name, k)
+        assert trace.events == [Event(*row) for row in trace.event_rows], (name, k)
+        assert misses == [e for e in trace.events if e.kind == "deadline_miss"], (name, k)
+        assert csv.splitlines()[1:] == [",".join(map(str, e)) for e in trace.events]
+        assert problems == [], (name, k)
         checked += 1
     assert checked >= 50, (name, checked)  # monitor admits the fewest
