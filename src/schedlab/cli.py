@@ -194,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Built once, at import: parse_args keeps no state between calls, so a
-# process that runs main many times (the tests, a benchmark) pays for the
-# parser once, like a one-shot `schedlab` process does.
+# process that calls main many times pays for the parser once, as a
+# one-shot `schedlab` process does.
 PARSER = _build_parser()
 
 

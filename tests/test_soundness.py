@@ -213,8 +213,8 @@ def test_runs_tile_the_trace_and_feed_its_readers(name, monkeypatch):
         assert counts == [ref_count_violations(trace.slots, forbidden, f)
                           for f in (1, 2, 3)], (name, k)
         misses, csv, problems = trace.misses, trace.events_csv(), check_trace(trace, ts)
+        ran.clear()
         if name in SCENARIOS and checked < 40:
-            ran.clear()
             harness.run_scenario(Scenario(f"set{k}", ts, seed=k, policy=name, duration=duration,
                                           **SCENARIOS[name](k, ts, sec)))
             assert ran[0].event_rows == trace.event_rows, (name, k)
