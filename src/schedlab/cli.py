@@ -9,7 +9,8 @@ Subcommands:
     report    full JSON report, byte-stable across reruns
 
 Exit codes: 0 success, 1 the scenario ran but failed its safety or
-schedulability check, 2 bad usage or an invalid scenario file.
+schedulability check, 2 bad usage, an invalid scenario file, or work past
+a limit (harness.MAX_SIMULATED_TICKS, harness.MAX_SWEEP_VALUES).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 
 from schedlab.analysis import SCHEDULABLE
 from schedlab.harness import (
+    MAX_SWEEP_VALUES,
     analysis_block,
     build_policy,
     run_attack,
@@ -30,7 +32,10 @@ from schedlab.scenario import ScenarioError, parse_scenario_file
 
 
 def _parse_values(text: str) -> list:
-    """Sweep range: 'lo:hi[:step]' (inclusive ints) or 'a,b,c' (numbers)."""
+    """Sweep range: 'lo:hi[:step]' (inclusive ints) or 'a,b,c' (numbers).
+
+    A range is counted before it is built, and refused past MAX_SWEEP_VALUES.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty sweep range")
@@ -45,7 +50,12 @@ def _parse_values(text: str) -> list:
         step = nums[2] if len(nums) == 3 else 1
         if step <= 0:
             raise ValueError("range step must be positive")
-        return list(range(nums[0], nums[1] + 1, step))
+        lo, hi = nums[0], nums[1]
+        count = max(0, (hi - lo) // step + 1)
+        if count > MAX_SWEEP_VALUES:
+            raise ValueError(f"range {text!r} has {count} values, more than the"
+                             f" limit of {MAX_SWEEP_VALUES}")
+        return list(range(lo, hi + 1, step))
     out = []
     for piece in text.split(","):
         piece = piece.strip()

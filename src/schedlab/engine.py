@@ -240,10 +240,14 @@ class SchedulingPolicy:
     again at tick + k.  pick() would have made the same choice on each of
     those ticks, and hold() repeats nothing pick() decided: state that
     changes with time is kept as tick stamps (a scrub's end, a scan's last
-    release) that pick() compares with the tick.  limit never reaches past
-    the next release, the chosen job's completion, the earliest pending
-    deadline or the end of the run.  The default holds one tick, so a
-    policy without its own hold() is asked on every tick.
+    release) that pick() compares with the tick.  pick() still makes every
+    choice the trace holds: a hold that must draw to know how long its
+    choice stands, as a fine-grained shuffle's does, only makes those
+    draws early, and pick() returns the draw that ended the hold at its
+    tick.  limit never reaches past the next release, the chosen job's
+    completion, the earliest pending deadline or the end of the run.  The
+    default holds one tick, so a policy without its own hold() is asked on
+    every tick.
     analyze() is the schedulability test that is sound for this dispatch;
     scenario verdicts and monitor admission both ask the policy for it.
     """

@@ -30,6 +30,9 @@ SEED_STRIDE = 1_000_003  # spreads ensemble members across seed space
 # the first tick rather than left to run for hours.  The count is complete:
 # attack simulates its window once, and its offset search simulates nothing.
 MAX_SIMULATED_TICKS = 10_000_000
+# Most values one sweep may evaluate.  The command line counts a lo:hi:step
+# range before it builds one, so a range of 10^9 values is refused at once.
+MAX_SWEEP_VALUES = 10_000
 
 
 def member_seed(master: int, index: int) -> int:
@@ -225,11 +228,15 @@ def sweep(sc: Scenario, key: str, values) -> dict:
     other section is refused, except restart.period: no policy reads
     [restart], and its sweep finds the period with the best restart
     objective instead.  A value the policy refuses gets a row with verdict
-    "refused" and the reason, and the sweep goes on.
+    "refused" and the reason, and the sweep goes on.  More than
+    MAX_SWEEP_VALUES values are refused before the first is evaluated.
     """
     values = list(values)
     if not values:
         raise ValueError("empty sweep range")
+    if len(values) > MAX_SWEEP_VALUES:
+        raise ValueError(f"{len(values)} sweep values exceed the limit of"
+                         f" {MAX_SWEEP_VALUES}")
     section, _, name = key.partition(".")
     if key == "restart.period":
         if sc.restart is None:

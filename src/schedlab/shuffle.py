@@ -192,6 +192,17 @@ class ShuffleFP(SchedulingPolicy):
     job); between decision points the previous choice persists until an
     arrival, a completion, or its legality expiring forces a new pick.
 
+    A fine-grained hold makes the next ticks' draws early: the same
+    `ctx.rng.choice` call over the same candidates, in the same order, that
+    pick would make on each tick.  Before the hold's limit nothing is
+    released, completes or reaches its deadline, and before the smallest
+    budget of the jobs the choice delays runs out no job's legality
+    changes, so every tick would give pick the candidates of its last
+    draw.  The hold ends at the first draw that differs from the choice,
+    and pick returns that draw at its tick; otherwise it ends at the limit
+    or that budget.  A forced idle (nothing ready) draws nothing and holds
+    to the limit.
+
     Under the guard a job may run only while every waiting job above it
     has budget left, so the legal jobs are a prefix of `ready`: every job
     up to and including the priority level of the first ready job whose
@@ -223,6 +234,8 @@ class ShuffleFP(SchedulingPolicy):
             self.budget = self._given if self._given is not None else compute_budgets(ts)
         self.remaining: dict[int, int] = {}
         self.sticky = None
+        self.drawn_from: list = []  # the candidates of pick's last draw
+        self.ahead: tuple | None = None  # (tick, choice) a hold drew early
 
     def _legal(self, ready) -> tuple[list, bool]:
         """The legal prefix of ready and whether idle is legal, in one pass."""
@@ -237,6 +250,13 @@ class ShuffleFP(SchedulingPolicy):
         return ready, True
 
     def pick(self, tick, ready, ctx):
+        if self.ahead is not None:
+            # The fine-grained hold before this tick drew its choice already.
+            at, choice = self.ahead
+            self.ahead = None
+            if at != tick:
+                raise AssertionError(f"choice drawn for tick {at} asked for at {tick}")
+            return choice
         if self.budget is not None:
             for job in ctx.arrivals:
                 self.remaining[job.job_id] = self.budget.per_task[job.task_id]
@@ -253,25 +273,39 @@ class ShuffleFP(SchedulingPolicy):
             if self.mode != TASK_ONLY and idle_legal:
                 legal = [*legal, IDLE]
             choice = ctx.rng.choice(legal)
+            self.drawn_from = legal
         self.sticky = choice
         return choice
 
     def hold(self, tick, ready, ctx, choice, limit):
         # Each tick of the choice charges one tick to every job it delays.
         # The choice stands while each of them has budget left; a charged
-        # job with none left means pick broke the guard.
-        k = 1 if self.mode == FINE_GRAINED else limit
-        if self.budget is None:
-            return k
-        if choice is IDLE:
-            charged = ready
-        else:
-            charged = [j for j in ready if j.priority < choice.priority]
+        # job with none left means pick broke the guard.  ready[0] delays
+        # nobody.
+        charged = ()
+        if self.budget is not None and ready and choice is not ready[0]:
+            if choice is IDLE:
+                charged = ready
+            else:
+                charged = [j for j in ready if j.priority < choice.priority]
         remaining = self.remaining
         if charged:
-            k = min(k, min(remaining.get(j.job_id, 0) for j in charged))
-            if k < 1:
+            cap = min(remaining.get(j.job_id, 0) for j in charged)
+            if cap < 1:
                 raise AssertionError("inversion budget overdrawn")
+            limit = min(limit, cap)
+        k = limit
+        if self.mode == FINE_GRAINED and ready:
+            # Draw the next ticks' choices as pick would, from the same
+            # candidates; no legality changes before limit.
+            draw, legal = ctx.rng.choice, self.drawn_from
+            k = 1
+            while k < limit:
+                nxt = draw(legal)
+                if nxt is not choice:
+                    self.ahead = (tick + k, nxt)
+                    break
+                k += 1
         for j in charged:
             remaining[j.job_id] = remaining.get(j.job_id, 0) - k
         return k

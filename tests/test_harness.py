@@ -15,6 +15,7 @@ from schedlab.engine import NonPreemptiveFP, VanillaFP
 from schedlab.flush import FlushFP, SecurityPolicy
 from schedlab.harness import (
     MAX_SIMULATED_TICKS,
+    MAX_SWEEP_VALUES,
     analyze_scenario,
     build_policy,
     member_seed,
@@ -817,6 +818,28 @@ def test_cli_empty_sweep_range_exits_two(tmp_path, capsys):
     assert main(["sweep", path, "--key", "security.flush_cost",
                  "--values", "5:4"]) == 2
     assert "empty sweep range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["0:1000000000",
+                                    "0:1000000000000000000000000000000",
+                                    f"1:{2 * MAX_SWEEP_VALUES + 1}:2",
+                                    ",".join(["1"] * (MAX_SWEEP_VALUES + 1))])
+def test_cli_refuses_sweeps_past_the_value_cap(tmp_path, capsys, values):
+    path = _write(tmp_path, FLUSH)
+    start = time.perf_counter()
+    assert main(["sweep", path, "--key", "security.flush_cost",
+                 "--values", values]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"limit of {MAX_SWEEP_VALUES}" in capsys.readouterr().err
+
+
+def test_sweep_value_cap_is_inclusive_and_covers_restart():
+    assert len(_parse_values(f"1:{2 * MAX_SWEEP_VALUES}:2")) == MAX_SWEEP_VALUES
+    sc = parse_scenario(RESTART)
+    periods = range(10, 10 + MAX_SWEEP_VALUES)
+    assert len(sweep(sc, "restart.period", periods)["rows"]) == MAX_SWEEP_VALUES
+    with pytest.raises(ValueError, match=f"limit of {MAX_SWEEP_VALUES}"):
+        sweep(sc, "restart.period", range(10, 11 + MAX_SWEEP_VALUES))
 
 
 def test_cli_usage_error_exits_two(capsys):

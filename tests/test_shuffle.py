@@ -7,6 +7,7 @@ implementation existed; see the inline derivation notes.
 
 import math
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,8 @@ from schedlab import (
     simulate,
 )
 from schedlab.analysis import INCONCLUSIVE, SCHEDULABLE
-from schedlab.engine import Runs
+from schedlab.engine import Runs, SchedulingPolicy
+from schedlab.monitor import MonitorPolicy
 from schedlab.shuffle import (
     FINE_GRAINED,
     GUARD_BUDGET,
@@ -39,7 +41,7 @@ from schedlab.shuffle import (
     compute_budgets,
     schedule_entropy,
 )
-from schedlab.tasks import generate_taskset
+from schedlab.tasks import SPORADIC, generate_taskset
 
 from reference import ref_fp_slots
 
@@ -426,6 +428,84 @@ def test_pick_matches_the_per_candidate_rule_on_random_ready_lists():
         drawn += want is not None
         kept += want is None
     assert drawn > 300 and kept > 100
+
+
+# --- fine-grained holds against tick-by-tick dispatch -----------------------
+
+class _Holds(SchedulingPolicy):
+    """The wrapped policy with its hold's limit cut to `cap` (None keeps it);
+    records every hold's length."""
+
+    def __init__(self, inner, cap=None):
+        self.inner = inner
+        self.cap = cap
+        self.name = inner.name
+        self.lengths = []
+
+    def attach(self, ts, ctx):
+        self.inner.attach(ts, ctx)
+
+    def managed_task_ids(self):
+        return self.inner.managed_task_ids()
+
+    def pick(self, tick, ready, ctx):
+        return self.inner.pick(tick, ready, ctx)
+
+    def hold(self, tick, ready, ctx, choice, limit):
+        k = self.inner.hold(tick, ready, ctx, choice,
+                            limit if self.cap is None else min(limit, self.cap))
+        self.lengths.append(k)
+        return k
+
+
+def _fine_grained_sets(count=30, seed=21):
+    """Seeded sets with random phases, some tasks sporadic, some with bcet < C."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        ts = generate_taskset(rng.randint(2, 5), rng.uniform(0.5, 0.85),
+                              (4, 5, 6, 8, 10, 12, 15, 20), seed=k, tol=0.02)
+        tasks = []
+        for t in ts:
+            t = replace(t, phase=rng.randrange(t.T))
+            if t.C > 1 and rng.random() < 0.4:
+                t = replace(t, bcet=rng.randint(1, t.C - 1))
+            if rng.random() < 0.3:
+                t = replace(t, kind=SPORADIC)
+            tasks.append(t)
+        out.append(TaskSet(tuple(tasks), ts.name))
+    return out
+
+
+FINE_GRAINED_POLICIES = {
+    "guarded": lambda ts: ShuffleFP(mode=FINE_GRAINED),
+    "unguarded": lambda ts: ShuffleFP(mode=FINE_GRAINED, guard=GUARD_NONE),
+    "monitor": lambda ts: MonitorPolicy(ts.by_priority()[-1].id,
+                                        base=ShuffleFP(mode=FINE_GRAINED),
+                                        alert_ticks=(50, 200)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(FINE_GRAINED_POLICIES))
+def test_fine_grained_holds_leave_the_tick_by_tick_trace(config):
+    """A hold that draws ahead leaves the trace of a hold held to one tick."""
+    make = FINE_GRAINED_POLICIES[config]
+    ran = long_holds = 0
+    for seed, ts in enumerate(_fine_grained_sets()):
+        traces = []
+        for cap in (None, 1):
+            policy = _Holds(make(ts), cap)
+            try:
+                trace = simulate(ts, 300, policy=policy, seed=seed)
+            except ValueError:  # refused: not schedulable, or no monitor placement
+                break
+            traces.append(trace.slots_csv() + trace.events_csv())
+            if cap is None:
+                long_holds += sum(k > 1 for k in policy.lengths)
+        else:
+            assert traces[0] == traces[1], (config, seed)
+            ran += 1
+    assert ran >= 10 and long_holds > 100
 
 
 # --- entropy metric -------------------------------------------------------
