@@ -251,7 +251,8 @@ class ShuffleFP(SchedulingPolicy):
 
     def pick(self, tick, ready, ctx):
         if self.ahead is not None:
-            # The fine-grained hold before this tick drew its choice already.
+            # The hold before this tick drew this tick's choice.  Nothing
+            # arrived or completed since, so no budget is set or dropped.
             at, choice = self.ahead
             self.ahead = None
             if at != tick:
