@@ -31,14 +31,16 @@ k-th job of the busy window has own cost k * (C_i + V_i) and terms
 terms (T_j, C_j, B_j).  B_i is the smaller of the two bounds that hold.
 
 With V = 0 the busy-window certificate is exactly classic RTA, so every
-RTA-schedulable set admits at least the all-zero vector.  Budgets then
-grow greedily, one tick at a time in priority order, keeping a vector only
-when every task still certifies.  Two facts keep the greedy cheap without
-changing a budget or a bound it grants:
+RTA-schedulable set admits at least the all-zero vector.  The budgets
+granted are those of a greedy that sweeps the tasks in priority order,
+raises each by one tick and keeps a raise only when every task still
+certifies, until a sweep raises nobody.  Three facts give the same
+budgets and bounds for far fewer certificates:
 
 * Task i's certificates read only V_j and B_j of tau_i and the tasks above
-  it.  So after a one-tick raise of V_k the bounds above k stand, and only
-  tau_k and the tasks below it are certified again.
+  it.  So the bounds are a function of the vector, and after raising
+  budgets from V_k down the bounds above k stand, and only tau_k and the
+  tasks below it are certified again.
 * Every fixed point and the inflated utilization are non-decreasing in
   every V_j and every B_j, and so, task by task from the top, is every B_i.
   (The iteration cap of `fixed_point` cannot break this while the limits
@@ -47,6 +49,17 @@ changing a budget or a bound it grants:
   only grow, so a task whose one-tick raise failed would fail again in
   every later sweep, and it is not tried again.  The greedy still accepts
   the same vectors in the same order.
+* Whole sweeps.  Call a task live while it is below its D - C cap and has
+  no failed raise, and let raised(m) give every live task m more ticks,
+  each capped at D - C.  Every vector the greedy tries in its next m
+  sweeps is at most raised(m) in every budget.  So if raised(m)
+  certifies, the greedy accepts all of those raises, in order, and
+  reaches raised(m).  `compute_budgets` gallops on m and then bisects it
+  to find the largest such m, and takes those sweeps at once.  It runs
+  sweep m + 1 one raise at a time.  Had every raise of that sweep held,
+  it would end at raised(m + 1), which fails, so one of them fails and
+  its task is retired.  A call is at most n rounds of O(log D + n)
+  certificates, where the one-tick greedy made one per granted tick.
 """
 
 from __future__ import annotations
@@ -145,38 +158,57 @@ def _certify(by_prio, budgets, scale, start=0, bounds=()) -> list | None:
 def compute_budgets(ts: TaskSet) -> InversionBudget:
     """Largest greedily-reachable safe inversion budgets for ts.
 
-    Starts from the all-zero vector (certified iff classic RTA passes) and
-    repeatedly sweeps tasks in priority order, granting one extra tick
-    wherever the whole vector still certifies, until a sweep stalls.
-    Raises for sets that are not RTA-schedulable: shuffling is refused
-    rather than allowed to endanger deadlines.
+    Grants what the module docstring's one-tick greedy grants, from the
+    all-zero vector (certified iff classic RTA passes), by whole sweeps.
+    If every live task m ticks higher (capped at D - C) certifies, so does
+    every vector of the greedy's next m sweeps, which is no larger in any
+    budget; the greedy would accept all of them.  So each round gallops on
+    m, then bisects it, to find the largest such m, and grants those m
+    sweeps at once.  Sweep m + 1 then runs one raise at a time, and one of
+    its raises fails, so every round retires a task: O(n (log D + n))
+    certificates a call.  Raises for sets that are not RTA-schedulable:
+    shuffling is refused rather than allowed to endanger deadlines.
     """
     if response_time_analysis(ts).verdict != SCHEDULABLE:
         raise ValueError("task set is not RTA-schedulable; shuffling refused")
     by_prio = ts.by_priority()
     scale = _utilization_scale(by_prio)
+    caps = [t.D - t.C for t in by_prio]  # beyond it the job cannot fit by its deadline
     budgets = [0] * len(by_prio)
     bounds = _certify(by_prio, budgets, scale)
     if bounds is None:  # cannot happen for RTA-schedulable sets
         raise AssertionError("zero-budget certificate failed on a schedulable set")
-    # Tasks still worth a raise: below the D - C cap (beyond it the job
-    # itself cannot fit by its deadline) and with no failed raise yet.
-    live = [t.C < t.D for t in by_prio]
-    changed = True
-    while changed:
-        changed = False
-        for k, task in enumerate(by_prio):
-            if not live[k]:
-                continue
-            budgets[k] += 1
-            trial = _certify(by_prio, budgets, scale, k, bounds)
-            if trial is None:
-                budgets[k] -= 1
-                live[k] = False  # every later vector is larger and fails too
+    # Tasks still worth a raise: below the cap and with no failed raise yet.
+    live = [k for k, cap in enumerate(caps) if cap > 0]
+    while live:
+        # m whole sweeps certify for m = good and fail for m = bad; until
+        # one fails, bad is top + 1, past the last m that raises anyone.
+        top = max(caps[k] - budgets[k] for k in live)
+        good, bad, best = 0, top + 1, None
+        while bad - good > 1:
+            m = (good + bad) // 2 if bad <= top else min(2 * good or 1, top)
+            trial = budgets[:]
+            for k in live:
+                trial[k] = min(caps[k], trial[k] + m)
+            proven = _certify(by_prio, trial, scale, live[0], bounds)
+            if proven is None:
+                bad = m
             else:
-                bounds = trial
-                changed = True
-                live[k] = budgets[k] < task.D - task.C
+                good, best = m, (trial, proven)
+        if best is not None:
+            budgets, bounds = best
+            live = [k for k in live if budgets[k] < caps[k]]
+        kept = []
+        for k in live:  # sweep good + 1, one raise at a time
+            budgets[k] += 1
+            proven = _certify(by_prio, budgets, scale, k, bounds)
+            if proven is None:
+                budgets[k] -= 1  # every later vector is larger and fails too
+            else:
+                bounds = proven
+                if budgets[k] < caps[k]:
+                    kept.append(k)
+        live = kept
     granted = {t.id: v for t, v in zip(by_prio, budgets)}
     return InversionBudget(per_task={t.id: granted[t.id] for t in ts},
                            completion_bounds={t.id: b for t, b in zip(by_prio, bounds)})

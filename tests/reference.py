@@ -195,3 +195,32 @@ def ref_entropy(seqs, fold):
             ent -= p * math.log2(p)
         out.append(ent)
     return out
+
+
+def ref_budgets(caps, certify):
+    """The one-tick budget greedy, one whole-vector certificate per raise.
+
+    caps are the tasks' D - C in priority order, and certify(budgets)
+    returns the completion bounds of a budget vector, or None when it
+    fails.  Sweep the tasks in priority order and raise each by one tick
+    while the raised vector certifies; a task stops at its cap or at its
+    first failed raise.  Returns (budgets, bounds), and raises the package's
+    refusal when the all-zero vector fails.
+    """
+    budgets = [0] * len(caps)
+    bounds = certify(budgets)
+    if bounds is None:
+        raise ValueError("task set is not RTA-schedulable; shuffling refused")
+    live = [cap > 0 for cap in caps]
+    while any(live):
+        for k, cap in enumerate(caps):
+            if not live[k]:
+                continue
+            trial = budgets[:k] + [budgets[k] + 1] + budgets[k + 1:]
+            got = certify(trial)
+            if got is None:
+                live[k] = False
+            else:
+                budgets, bounds = trial, got
+                live[k] = budgets[k] < cap
+    return budgets, bounds

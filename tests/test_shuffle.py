@@ -8,6 +8,7 @@ implementation existed; see the inline derivation notes.
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,11 +22,14 @@ from schedlab import (
     extract_busy_intervals,
     check_trace,
     hyperperiod,
+    shuffle,
     simulate,
 )
 from schedlab.analysis import INCONCLUSIVE, SCHEDULABLE
+from schedlab.cli import main
 from schedlab.engine import Runs, SchedulingPolicy
 from schedlab.monitor import MonitorPolicy
+from schedlab.scenario import parse_scenario_file
 from schedlab.shuffle import (
     FINE_GRAINED,
     GUARD_BUDGET,
@@ -43,7 +47,9 @@ from schedlab.shuffle import (
 )
 from schedlab.tasks import SPORADIC, generate_taskset
 
-from reference import ref_fp_slots
+from reference import ref_budgets, ref_fp_slots
+
+WIDE = Path(__file__).parent / "scenarios" / "wide_shuffle.scn"
 
 
 def flagship() -> TaskSet:
@@ -173,6 +179,75 @@ def test_certifying_from_the_raised_task_keeps_the_higher_bounds():
             assert _certify(by_prio, w, scale, k, bounds) == full, (by_prio, w, k)
             checked += full is not None
     assert checked >= 100
+
+
+def _oracle_sets(count, seed):
+    """Seeded sets of 1 to 8 tasks: light ones whose budgets reach the
+    D - C cap, U up to 1 (some refused), constrained deadlines, sporadic
+    tasks and bcet < C."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        lo, hi = rng.choice(((0.05, 0.3), (0.3, 0.9), (0.9, 1.0)))
+        try:
+            ts = generate_taskset(1 + len(out) % 8, rng.uniform(lo, hi),
+                                  (4, 5, 8, 10, 16, 20, 25, 40),
+                                  seed=rng.getrandbits(32), tol=0.02)
+        except ValueError:
+            continue  # lattice miss near the target; redraw
+        tasks = []
+        for t in ts:
+            if rng.random() < 0.4:
+                t = replace(t, D=rng.randint(t.C, t.T))
+            if rng.random() < 0.3:
+                t = replace(t, kind=SPORADIC)
+            if t.C > 1 and rng.random() < 0.3:
+                t = replace(t, bcet=rng.randint(1, t.C - 1))
+            tasks.append(t)
+        out.append(TaskSet(tuple(tasks), ts.name))
+    return out
+
+
+def test_whole_sweeps_grant_what_the_one_tick_greedy_grants():
+    refused = capped = stalled = 0
+    for ts in _oracle_sets(320, seed=22):
+        by_prio = ts.by_priority()
+        scale = _utilization_scale(by_prio)
+        caps = [t.D - t.C for t in by_prio]
+        try:
+            budgets, bounds = ref_budgets(caps, lambda v: _certify(by_prio, v, scale))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                compute_budgets(ts)
+            assert str(got.value) == str(exc), ts
+            refused += 1
+            continue
+        b = compute_budgets(ts)
+        assert [b.per_task[t.id] for t in by_prio] == budgets, ts
+        assert [b.completion_bounds[t.id] for t in by_prio] == bounds, ts
+        capped += budgets == caps
+        stalled += any(0 < v < cap for v, cap in zip(budgets, caps))
+    assert refused >= 20 and capped >= 30 and stalled >= 100
+
+
+def test_wide_budgets_take_few_certificates(monkeypatch):
+    # One tick per certificate, these budgets took about six million.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _certify(*args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "_certify", counting)
+    b = compute_budgets(parse_scenario_file(WIDE).taskset)
+    assert b.per_task == {1: 999_999, 2: 1_999_995, 3: 2_999_987}
+    assert b.completion_bounds == {1: 10**6, 2: 2 * 10**6, 3: 3 * 10**6}
+    assert len(calls) < 200
+
+
+def test_wide_shuffle_simulates(capsys):
+    assert main(["simulate", str(WIDE)]) == 0
+    assert "deadline misses: 0" in capsys.readouterr().out
 
 
 def test_mode_and_guard_validation():
