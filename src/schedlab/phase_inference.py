@@ -20,6 +20,34 @@ tick; a task released before the last idle tick ahead of the first
 unexplained busy tick would run in that idle tick; and the last task must
 be released by that busy tick to explain it.
 
+The subtree below a partial assignment depends only on its state: the
+next task's level and the occupancy so far.  _place, the release masks,
+the idle-tick bounds, the last-task bound and the demand prune read
+nothing else.  So each distinct state is expanded once, keeping the
+offsets that lead to a candidate and the states they lead to, and the
+candidates are the root-to-leaf paths of that graph, listed once at the
+end.  This is dynamic programming over the search's states (Bellman,
+1957): a state reached along two prefixes has the same suffixes after
+both, so listing each prefix with each suffix of its state is exact.
+
+The window is cut to its feasibility interval when it can be.  Whether
+a tick is busy depends only on the work pending there, not on which job
+runs, so every offset vector's busy mask is that of a work-conserving
+processor fed by its periodic releases.  Let S < T_max be the latest
+offset.  From S on, the releases repeat with period H, the hyperperiod,
+and the backlog obeys W(t + H) = max(g, W(t) - (1 - U) H), where g, the
+largest excess of releases over elapsed time in a suffix of [t, t + H),
+is the same for every t >= S.  With U = 1 that makes W(S + 2H) =
+W(S + H).  With U < 1, g is also the backlog the same releases would
+leave at S had they always run, which bounds W(S); so both are g.
+Either way the mask repeats with period H from S + H, and so from
+T_max + H (Leung and Merrill, 1980; Goossens and Devillers, 1997, for
+the whole fixed-priority schedule).  When U <= 1 and the
+observed mask repeats too, a vector that agrees with it on
+[0, T_max + 2H) agrees on every later tick, so the search runs on that
+prefix alone.  An overloaded set, or an observed mask that does not
+repeat, keeps the whole window.
+
 A leaf whose occupancy equals the observed busy mask is reported as a
 candidate without running the simulator again.  That is exact for
 preemptive fixed priority when tasks are periodic, every job runs for
@@ -90,7 +118,8 @@ class InferenceResult:
     candidates: tuple      # offset vectors consistent with the observation
     status: str            # exact | ambiguous | failed
     low_confidence: bool   # window shorter than the hyperperiod
-    explored: int          # partial assignments examined
+    explored: int          # sum of T over the expanded (task, occupancy)
+                           # states: each examines every offset of its task
 
 
 def _require_periodic(ts: TaskSet):
@@ -124,7 +153,7 @@ def _place(occ: int, busy: int, window: int, C: int, T: int, offset: int):
     release = offset
     prev_done = 0
     while release < window:
-        pos = max(release, prev_done)
+        pos = release if release > prev_done else prev_done
         remaining = C
         while remaining > 0 and pos < window:
             if not (occ >> pos) & 1:
@@ -153,13 +182,6 @@ def _release_ok(busy: int, window: int, T: int) -> int:
     return ok & full
 
 
-def _max_demand(task, window: int) -> int:
-    if window <= 0:
-        return 0
-    jobs = (window - 1) // task.T + 1  # releases in [0, window), offset 0
-    return jobs * task.C
-
-
 def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
     """All release-offset vectors (one per task, in [0, T)) matching obs.
 
@@ -176,23 +198,33 @@ def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
         )
     by_prio = ts.by_priority()
     busy_mask = obs.mask()
+    try:
+        h = hyperperiod(ts)
+    except OverflowError:
+        h = None  # past the tick range: no cut, and low confidence
+    window = _search_window(ts, h, busy_mask, obs.window, longest)
+    busy_mask &= (1 << window) - 1
     want = busy_mask.bit_count()
+    # demand_tail[i]: the most busy ticks tasks i.. can take in the window
     demand_tail = [0] * (len(by_prio) + 1)
     for i in range(len(by_prio) - 1, -1, -1):
-        demand_tail[i] = demand_tail[i + 1] + _max_demand(by_prio[i], obs.window)
+        t = by_prio[i]
+        demand_tail[i] = demand_tail[i + 1] + ((window - 1) // t.T + 1) * t.C
 
-    release_ok = [_release_ok(busy_mask, obs.window, t.T) for t in by_prio]
+    release_ok = [_release_ok(busy_mask, window, t.T) for t in by_prio]
+    # need[i]: the fewest busy ticks the tasks up to i must take, as the
+    # ones after it take at most demand_tail[i + 1]
+    need = [want - tail for tail in demand_tail[1:]]
     last = len(by_prio) - 1
-
-    found = []
+    # below[i]: the states expanded after task i is placed, each occupancy
+    # mapped to its edges: the offsets of task i + 1 that lead to a
+    # candidate, each with the edges of the state it leads to.  The last
+    # task's edges are bare offsets, and no state lies below it.
+    below = [{} for _ in range(last)] + [None]
     explored = 0
 
-    def walk(level: int, occ: int, offsets: tuple):
+    def expand(level: int, occ: int) -> list:
         nonlocal explored
-        if level == len(by_prio):
-            if occ == busy_mask:
-                found.append(offsets)
-            return
         task = by_prio[level]
         explored += task.T  # every offset is examined, most by the masks alone
         # b: the first busy tick occ leaves unexplained (the window's end if
@@ -200,43 +232,75 @@ def infer_offsets(ts: TaskSet, obs: Observation) -> InferenceResult:
         # in that tick, which no task may take; and with one task left, it
         # must be released by b to explain it.
         unexplained = busy_mask & ~occ
-        b = (unexplained & -unexplained).bit_length() - 1 if unexplained else obs.window
+        b = (unexplained & -unexplained).bit_length() - 1 if unexplained else window
         lo = (~busy_mask & ((1 << b) - 1)).bit_length()
         allowed = release_ok[level] >> lo << lo
         if level == last and unexplained:
             allowed &= (2 << b) - 1
+        edges = []
+        least = need[level]
+        seen = below[level]
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit
             offset = bit.bit_length() - 1
-            nxt = _place(occ, busy_mask, obs.window, task.C, task.T, offset)
-            if nxt is None:
+            nxt = _place(occ, busy_mask, window, task.C, task.T, offset)
+            if nxt is None or nxt.bit_count() < least:
+                continue  # idle tick taken, or the rest cannot explain the rest
+            if seen is None:
+                edges.append(offset)  # every busy tick is taken
                 continue
-            if nxt.bit_count() + demand_tail[level + 1] < want:
-                continue  # the rest cannot explain the remaining busy ticks
-            walk(level + 1, nxt, offsets + (offset,))
+            child = seen.get(nxt)
+            if child is None:
+                child = seen[nxt] = expand(level + 1, nxt)
+            if child:
+                edges.append((offset, child))
+        return edges
 
-    walk(0, 0, ())
+    found = []
+
+    def paths(level: int, edges: list, prefix: tuple):
+        if level == last:
+            found.extend([prefix + (offset,) for offset in edges])
+            return
+        for offset, child in edges:
+            paths(level + 1, child, prefix + (offset,))
+
+    paths(0, expand(0, 0), ())
 
     ids_sorted = tuple(sorted(t.id for t in ts))
-    pos = {t.id: i for i, t in enumerate(by_prio)}
-    candidates = sorted(tuple(c[pos[i]] for i in ids_sorted) for c in found)
-    status = (FAILED if not candidates
-              else EXACT if len(candidates) == 1 else AMBIGUOUS)
+    order = [t.id for t in by_prio]
+    if order != list(ids_sorted):
+        pos = [order.index(i) for i in ids_sorted]
+        found = [tuple([c[j] for j in pos]) for c in found]
+    found.sort()
+    status = (FAILED if not found
+              else EXACT if len(found) == 1 else AMBIGUOUS)
     return InferenceResult(
         task_ids=ids_sorted,
-        candidates=tuple(candidates),
+        candidates=tuple(found),
         status=status,
-        low_confidence=_shorter_than_hyperperiod(ts, obs.window),
+        low_confidence=h is None or obs.window < h,
         explored=explored,
     )
 
 
-def _shorter_than_hyperperiod(ts: TaskSet, window: int) -> bool:
-    try:
-        return window < hyperperiod(ts)
-    except OverflowError:
-        return True
+def _search_window(ts: TaskSet, h, busy: int, window: int, longest: int) -> int:
+    """The prefix of the window the search needs: T_max + 2H or all of it.
+
+    With U <= 1 every candidate's busy mask repeats with period H from
+    T_max + H (see the module doc).  If the observed mask does too, the
+    ticks past T_max + 2H tell nothing that the ticks before them do not.
+    """
+    if h is None:
+        return window
+    cut = longest + 2 * h
+    if window <= cut or sum(t.C * (h // t.T) for t in ts) > h:
+        return window  # nothing to cut, or overloaded
+    tail = (1 << (window - cut)) - 1
+    if (busy >> (longest + h)) & tail != (busy >> cut) & tail:
+        return window  # the observed mask does not repeat
+    return cut
 
 
 def _with_offsets(ts: TaskSet, ids_sorted, vec) -> TaskSet:

@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ import schedlab.phase_inference
 from schedlab import Task, TaskSet, generate_taskset, hyperperiod, utilization
 from schedlab.cli import main
 from schedlab.engine import extract_busy_intervals, simulate
+from schedlab.scenario import parse_scenario_file
 from schedlab.phase_inference import (
     AMBIGUOUS,
     EXACT,
@@ -310,3 +312,121 @@ def test_search_runs_no_simulation(monkeypatch):
     for phases, (obs, expected) in zip(truths, cases):
         assert phases in expected
         assert infer_offsets(flagship(), obs).candidates == expected
+
+
+# --- the feasibility-interval window and the work bound ---------------------
+
+SCENARIOS = Path(__file__).parent / "scenarios"
+TRIO = Path(__file__).parents[1] / "perfbench" / "scenarios" / "trio.scn"
+
+
+def _search(monkeypatch, ts, obs):
+    """infer_offsets' result and the (window, T, occupancy) of every
+    offset it placed."""
+    placed = []
+    place = schedlab.phase_inference._place
+
+    def spy(occ, busy, window, C, T, offset):
+        placed.append((window, T, occ))
+        return place(occ, busy, window, C, T, offset)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schedlab.phase_inference, "_place", spy)
+        result = infer_offsets(ts, obs)
+    return result, placed
+
+
+def _small_set(rng, n, full):
+    # Periods with H <= 12, random deadlines, priorities and phases; U = 1
+    # exactly when full, otherwise U <= 1.
+    while True:
+        tasks = []
+        prios = rng.sample(range(1, n + 1), n)
+        for i in range(n):
+            T = rng.choice((2, 3, 4, 6))
+            C = rng.randint(1, T if full else max(1, T // n))
+            tasks.append(Task(id=i + 1, C=C, T=T, D=rng.randint(C, T),
+                              phase=rng.randrange(T), priority=prios[i]))
+        ts = TaskSet(tasks=tuple(tasks))
+        if utilization(ts) == 1 if full else utilization(ts) <= 1:
+            return ts
+
+
+def test_window_cut_matches_brute_force_over_the_full_window(monkeypatch):
+    # With U <= 1 every observed mask repeats with period H from T_max + H,
+    # so the search looks at T_max + 2H ticks only; its candidates are the
+    # oracle's over the whole window, up to T_max + 6H.
+    rng = random.Random(1980)
+    constrained = 0
+    for i in range(100):
+        ts = _small_set(rng, 2 + i % 2, full=i % 4 == 0)
+        h = hyperperiod(ts)
+        longest = max(t.T for t in ts)
+        window = longest + 2 * h + rng.randint(1, 4 * h)
+        obs = observe(ts, window)
+        result, placed = _search(monkeypatch, ts, obs)
+        assert max(w for w, _, _ in placed) == longest + 2 * h, (ts, window)
+        assert result.candidates == brute_force_offsets(ts, obs), (ts, window)
+        assert tuple(t.phase for t in ts) in result.candidates
+        assert result.low_confidence is False
+        constrained += any(t.D < t.T for t in ts)
+    assert constrained >= 50
+
+
+def test_overloaded_and_non_repeating_masks_keep_the_full_window(monkeypatch):
+    rng = random.Random(1997)
+    for _ in range(8):
+        ts = _random_truth(rng, overloaded=True)
+        while math.prod(t.T for t in ts) > 300:
+            ts = _random_truth(rng, overloaded=True)
+        h = hyperperiod(ts)
+        window = max(t.T for t in ts) + 2 * h + rng.randint(1, 2 * h)
+        obs = observe(ts, window)
+        result, placed = _search(monkeypatch, ts, obs)
+        assert {w for w, _, _ in placed} == {window}
+        assert result.candidates == brute_force_offsets(ts, obs)
+    # The flagship set over T_max + 3H ticks with its last busy tick made
+    # idle: the prefix alone would admit the truth, the whole window none.
+    truth = flagship((1, 0, 2))
+    obs = observe(truth, 48)
+    *head, (start, end) = obs.busy
+    broken = Observation(window=48, busy=(*head, (start, end - 1)) if end - 1 > start
+                         else tuple(head))
+    result, placed = _search(monkeypatch, flagship(), broken)
+    assert {w for w, _, _ in placed} == {48}
+    assert result.candidates == brute_force_offsets(truth, broken) == ()
+    assert result.status == FAILED
+
+
+def test_long_window_searches_the_feasibility_interval_only(monkeypatch):
+    # trio.scn observed for 10^5 ticks: T_max + 2H = 36 ticks are searched,
+    # and the 13 candidates are those of the whole window.
+    sc = parse_scenario_file(TRIO)
+    obs = observe(sc.taskset, 100_000, seed=sc.seed)
+    result, placed = _search(monkeypatch, sc.taskset, obs)
+    assert max(w for w, _, _ in placed) <= 12 + 2 * 12
+    assert result.candidates == (
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 1),
+        (0, 1, 2), (0, 1, 3), (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3),
+        (1, 1, 0))
+
+
+def test_each_search_state_is_expanded_once(monkeypatch):
+    # The harmonic U = 1 set at s = 4 leaves a solid busy mask that 39,181
+    # offset vectors explain.  Its distinct (task, occupancy) states are
+    # counted from the offsets placed; explored, the sum of T over the
+    # expanded states, equals their sum, so no state is missed.
+    ts = TaskSet(tasks=tuple(Task(id=i + 1, C=4 << i, T=16 << i, priority=i + 1)
+                             for i in range(4)))
+    result, placed = _search(monkeypatch, ts, observe(ts, hyperperiod(ts)))
+    states = {(T, occ) for _, T, occ in placed}
+    assert len(result.candidates) == 39_181
+    assert sum(T for T, _ in states) == result.explored
+    assert len(states) < 10_000
+
+
+def test_harmonic_scenario_is_the_s_5_set():
+    sc = parse_scenario_file(SCENARIOS / "harmonic.scn")
+    assert [(t.C, t.T) for t in sc.taskset.by_priority()] == [
+        (5, 20), (10, 40), (20, 80), (40, 160)]
+    assert utilization(sc.taskset) == 1
