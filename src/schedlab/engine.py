@@ -71,13 +71,12 @@ class Job:
     priority: int
     start: int | None = None
     completion: int | None = None
-    missed: bool = False
     sort_key: tuple = field(repr=False, compare=False)
 
     # Written out: the generated __init__ and a __post_init__ call for the
     # sort key cost about 15% more per job.
     def __init__(self, task_id, job_id, release, absolute_deadline, exec_demand,
-                 remaining, priority, start=None, completion=None, missed=False):
+                 remaining, priority, start=None, completion=None):
         self.task_id = task_id
         self.job_id = job_id
         self.release = release
@@ -87,7 +86,6 @@ class Job:
         self.priority = priority
         self.start = start
         self.completion = completion
-        self.missed = missed
         self.sort_key = (priority, release, job_id)
 
 
@@ -223,7 +221,7 @@ class EngineContext:
         self._engine.event_rows.append((self.tick, kind, task_id, -1))
 
     def spawn(self, task_id: int, demand: int, deadline: int, priority: int) -> Job:
-        """Release a job outside the periodic stream (policy-managed tasks)."""
+        """Release a job outside the periodic stream, due after this tick."""
         return self._engine.spawn_job(task_id, demand, deadline, priority)
 
 
@@ -325,9 +323,9 @@ class _Engine:
         self.event_rows: list[tuple[int, str, int, int]] = []
         self.jobs: list[Job] = []  # a job's id is its index here
         self.ready: list[Job] = []  # sorted by Job.sort_key
-        # (absolute deadline, job id, job) of every released job; entries of
-        # finished or missed jobs are dropped lazily when they reach the top.
-        self.deadlines: list[tuple[int, int, Job]] = []
+        # (absolute deadline, sort key, job) of each job not yet due, popped
+        # when due or, once the job is finished, on reaching the top.
+        self.deadlines: list[tuple[int, tuple, Job]] = []
         self.ctx = EngineContext(self)
 
     @cached_property
@@ -346,11 +344,13 @@ class _Engine:
 
     def spawn_job(self, task_id: int, demand: int, deadline: int, priority: int) -> Job:
         tick = self.ctx.tick
+        if deadline <= tick:
+            raise RuntimeError(f"task {task_id}: job spawned at tick {tick} due at {deadline}")
         job_id = len(self.jobs)
         job = Job(task_id, job_id, tick, deadline, demand, demand, priority)
         self.jobs.append(job)
         bisect.insort(self.ready, job, key=_SORT_KEY)
-        heapq.heappush(self.deadlines, (deadline, job_id, job))
+        heapq.heappush(self.deadlines, (deadline, job.sort_key, job))
         self.event_rows.append((tick, "release", task_id, job_id))
         self.ctx.arrivals = [*self.ctx.arrivals, job]
         return job
@@ -379,7 +379,6 @@ class _Engine:
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         prev_job: Job | None = None  # occupant of the previous tick (jobs only)
         prev_occ = None  # occupant of the previous tick: task id, IDLE or FLUSH
-        deadline = None  # earliest pending deadline after the previous decision
         tick = 0
         while tick < duration:
             ctx.tick = tick
@@ -409,7 +408,7 @@ class _Engine:
                               priority)
                     jobs.append(job)
                     insort(ready, job, key=_SORT_KEY)
-                    heappush(deadlines, (tick + rel_deadline, job_id, job))
+                    heappush(deadlines, (tick + rel_deadline, job.sort_key, job))
                     emit((tick, "release", task_id, job_id))
                     arrivals.append(job)
                     due = tick + period
@@ -423,11 +422,16 @@ class _Engine:
                 ctx.arrivals = arrivals
             else:
                 ctx.arrivals = ()
-            if deadline == tick:
-                for job in [j for j in ready if j.absolute_deadline == tick
-                            and j.remaining > 0 and not j.missed]:
-                    job.missed = True
+            # Pop the deadlines due now, each unfinished job's as a miss (the
+            # sort key orders a tick's misses as ready is), and finished jobs'
+            # entries, so the top is the next pending deadline.
+            while deadlines:
+                due, _, job = deadlines[0]
+                if job.completion is None:
+                    if due > tick:
+                        break
                     emit((tick, "deadline_miss", job.task_id, job.job_id))
+                heappop(deadlines)
             choice = pick(tick, ready, ctx)
             is_job = choice.__class__ is Job
             if is_job and choice.remaining <= 0:
@@ -435,18 +439,8 @@ class _Engine:
             # Decision points: the next release, the earliest pending
             # deadline, the chosen job's completion and the end of the run.
             limit = (next_release if next_release < duration else duration) - tick
-            # Drop finished and missed jobs' entries, and deadlines no tick
-            # will check: those at or before this one, which a policy's own
-            # spawn in pick() may have set.
-            while deadlines:
-                deadline, _, pending = deadlines[0]
-                if deadline > tick and pending.completion is None and not pending.missed:
-                    if deadline - tick < limit:
-                        limit = deadline - tick
-                    break
-                heappop(deadlines)
-            else:
-                deadline = None
+            if deadlines and deadlines[0][0] - tick < limit:
+                limit = deadlines[0][0] - tick
             if is_job and choice.remaining < limit:
                 limit = choice.remaining
             k = hold(tick, ready, ctx, choice, limit)
@@ -538,7 +532,8 @@ def check_trace(trace: ScheduleTrace, ts: TaskSet) -> list[str]:
 
     Checks: known occupants, execution within [release, completion), demand
     accounting versus completion events, and deadline conformance (a job
-    past its deadline must carry a deadline_miss event, and vice versa).
+    past its deadline must carry a deadline_miss event at that deadline, and
+    vice versa).
     """
     problems = []
     known = {t.id for t in ts}
@@ -562,7 +557,7 @@ def check_trace(trace: ScheduleTrace, ts: TaskSet) -> list[str]:
             problems.append(f"tick {tick}: occupant {occ} does not own job {jid}")
         executed.setdefault(jid, []).append(tick)
     completes = {jid for _, kind, _, jid in trace.event_rows if kind == "complete"}
-    misses = {jid for _, kind, _, jid in trace.event_rows if kind == "deadline_miss"}
+    misses = {jid: tick for tick, kind, _, jid in trace.event_rows if kind == "deadline_miss"}
     for job in trace.jobs:
         ticks = executed.get(job.job_id, [])
         if ticks and ticks[0] < job.release:
@@ -580,6 +575,8 @@ def check_trace(trace: ScheduleTrace, ts: TaskSet) -> list[str]:
         )
         if (finished_late or unfinished_past) and job.job_id not in misses:
             problems.append(f"job {job.job_id}: missed deadline without a miss event")
-        if job.job_id in misses and not (finished_late or unfinished_past or job.missed):
+        if job.job_id in misses and not (finished_late or unfinished_past):
             problems.append(f"job {job.job_id}: miss event without a late job")
+        if misses.get(job.job_id, job.absolute_deadline) != job.absolute_deadline:
+            problems.append(f"job {job.job_id}: miss event off its deadline")
     return problems

@@ -149,6 +149,30 @@ def ref_dispatch(jobs, duration, preemptive=True, forbidden=(), flush_cost=0):
     return occupants, job_ids
 
 
+def ref_misses(jobs, deadlines, job_ids):
+    """The deadline misses of a schedule, as (tick, task, job id) rows.
+
+    jobs: as for ref_dispatch; deadlines: each job's absolute deadline;
+    job_ids: the job run at each tick, as ref_dispatch returns them.  A job
+    misses at its deadline d, if d falls inside the schedule and the job
+    has not run its whole demand in the ticks before d.  Misses at one tick
+    are listed in (priority, release, job id) order.
+    """
+    ran = [0] * len(jobs)
+    completion = [None] * len(jobs)
+    for tick, job in enumerate(job_ids):
+        if job != -1:
+            ran[job] += 1
+            if ran[job] == jobs[job][1]:
+                completion[job] = tick + 1
+    late = sorted(
+        (d, priority, release, job, task)
+        for job, ((release, _, priority, task), d) in enumerate(zip(jobs, deadlines))
+        if d < len(job_ids) and (completion[job] is None or completion[job] > d)
+    )
+    return [(d, task, job) for d, _, _, job, task in late]
+
+
 def ref_count_violations(slots, forbidden, flush_cost):
     """Dispatches of a task over forbidden residue, read one tick at a time.
 

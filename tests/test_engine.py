@@ -164,6 +164,29 @@ class TestDeadlinesAndChecking:
         trace.slots[0] = 77
         assert any("unknown occupant" in p for p in check_trace(trace, FLAGSHIP))
 
+    # In rm_set((3, 5), (3, 5)) over 10 ticks, job 0 (task 1) finishes at 3
+    # and job 1 (task 2) misses its deadline 5; its miss row is the only one.
+    MISS = (5, "deadline_miss", 2, 1)
+
+    def test_dropped_miss_row_is_flagged(self):
+        ts = rm_set((3, 5), (3, 5))
+        trace = simulate(ts, 10)
+        trace.event_rows.remove(self.MISS)
+        assert check_trace(trace, ts) == ["job 1: missed deadline without a miss event"]
+
+    def test_miss_row_for_a_job_on_time_is_flagged(self):
+        ts = rm_set((3, 5), (3, 5))
+        trace = simulate(ts, 10)
+        trace.event_rows.append((5, "deadline_miss", 1, 0))
+        assert check_trace(trace, ts) == ["job 0: miss event without a late job"]
+
+    def test_miss_row_off_its_deadline_is_flagged(self):
+        ts = rm_set((3, 5), (3, 5))
+        trace = simulate(ts, 10)
+        rows = trace.event_rows
+        rows[rows.index(self.MISS)] = (6, "deadline_miss", 2, 1)
+        assert check_trace(trace, ts) == ["job 1: miss event off its deadline"]
+
 
 class TestNonPreemptive:
     def test_started_job_runs_to_completion(self):
@@ -256,6 +279,16 @@ class TestPickContract:
 
         with pytest.raises(RuntimeError, match="not in ready"):
             simulate(FLAGSHIP, 12, policy=Forger())
+
+    def test_a_job_spawned_due_now_is_refused(self):
+        # A deadline at the spawning tick has already passed its check.
+        class Hasty(VanillaFP):
+            def pick(self, tick, ready, ctx):
+                ctx.spawn(1, demand=1, deadline=tick, priority=0)
+                return super().pick(tick, ready, ctx)
+
+        with pytest.raises(RuntimeError, match="spawned at tick 0 due at 0"):
+            simulate(FLAGSHIP, 12, policy=Hasty())
 
 
 class TestHoldContract:

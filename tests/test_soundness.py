@@ -38,7 +38,13 @@ from schedlab.scenario import MonitorConfig, Scenario, ShuffleConfig
 from schedlab.shuffle import MODES, ShuffleFP, schedule_entropy
 from schedlab.tasks import SPORADIC, TaskSet, generate_taskset
 
-from reference import ref_busy_intervals, ref_count_violations, ref_dispatch, ref_entropy
+from reference import (
+    ref_busy_intervals,
+    ref_count_violations,
+    ref_dispatch,
+    ref_entropy,
+    ref_misses,
+)
 
 POOL = (4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40)  # every hyperperiod divides 120
 SETS = 600
@@ -137,7 +143,8 @@ DISPATCH = {
 @pytest.mark.parametrize("name", sorted(DISPATCH))
 def test_dispatch_matches_the_reference(name, variant):
     # The reference gets the engine's released jobs as plain tuples, so
-    # bcet draws and sporadic gaps need no shared randomness.
+    # bcet draws and sporadic gaps need no shared randomness.  Its schedule
+    # and each job's deadline, release + D, name the jobs that miss.
     checked = 0
     for k, (ts, sec) in _cases(200, variant):
         policy, kw = DISPATCH[name](ts, sec)
@@ -146,8 +153,13 @@ def test_dispatch_matches_the_reference(name, variant):
         assert [j.job_id for j in trace.jobs] == list(range(len(trace.jobs)))
         jobs = [(j.release, j.exec_demand, j.priority, j.task_id)
                 for j in trace.jobs]
-        assert ref_dispatch(jobs, duration, **kw) == (trace.slots, trace.slot_jobs), (
-            name, variant, k)
+        slots, job_ids = ref_dispatch(jobs, duration, **kw)
+        assert (slots, job_ids) == (trace.slots, trace.slot_jobs), (name, variant, k)
+        relative = {t.id: t.D for t in ts}
+        deadlines = [j.release + relative[j.task_id] for j in trace.jobs]
+        assert ref_misses(jobs, deadlines, job_ids) == [
+            (tick, task_id, job_id) for tick, _, task_id, job_id in trace.misses
+        ], (name, variant, k)
         checked += 1
     assert checked >= 150
 
